@@ -1,20 +1,20 @@
-// Analysis fast path: HOPA priority optimization and breakdown-
-// utilization search timed on the legacy code path (type-erased
-// std::function demand, cold-started fixpoints -- the shape this repo
-// shipped before the inlined kernels) against the fast path (inlined
-// structure-of-arrays demand kernels, signature reuse, warm-started
-// fixpoints). The two paths must produce bit-identical results; the
-// report's `variants` section records wall time, speedup and a result
-// hash per (workload, path) pair.
+// Analysis warm starts: HOPA priority optimization and breakdown-
+// utilization search timed cold (warm_start = false: every round and
+// probe analyzes from scratch) against warm (the default: HOPA carries
+// one AnalysisScratch across rounds for signature-exact reuse, the
+// breakdown search seeds each probe from the schedulable frontier). The
+// two must produce bit-identical results; the report's `variants`
+// section records wall time, speedup and a result hash per
+// (workload, start) pair.
 //
 // Variant hashes are cross-folded so the generic agreement check in
-// write_perf_report (all variant hashes equal) tests exactly "each fast
-// path matches its legacy path": every variant's hash combines its own
-// workload's results with the *legacy* results of the other workload, so
-// all four agree iff hopa-fast == hopa-legacy and breakdown-fast ==
-// breakdown-legacy.
+// write_perf_report (all variant hashes equal) tests exactly "each warm
+// run matches its cold run": every variant's hash combines its own
+// workload's results with the *cold* results of the other workload, so
+// all four agree iff hopa-warm == hopa-cold and breakdown-warm ==
+// breakdown-cold.
 //
-// `--json[=path]` additionally times the fast path at several thread
+// `--json[=path]` additionally times the warm runs at several thread
 // counts (E2E_BENCH_THREADS or 1,2,4,8; systems fan out over the pool)
 // and exits nonzero on any cross-thread or cross-variant hash mismatch.
 //
@@ -123,79 +123,77 @@ int main(int argc, char** argv) {
     const std::vector<TaskSystem> systems =
         make_systems(system_count, subtasks, utilization, seed);
 
-    const HopaOptions hopa_legacy{.iterations = hopa_iters,
-                                  .analysis = {.legacy_demand_path = true},
-                                  .warm_start = false};
-    const HopaOptions hopa_fast{.iterations = hopa_iters};
-    const BreakdownOptions bd_legacy{.warm_start = false, .legacy_demand_path = true};
-    const BreakdownOptions bd_fast{};
+    const HopaOptions hopa_cold{.iterations = hopa_iters, .warm_start = false};
+    const HopaOptions hopa_warm{.iterations = hopa_iters};
+    const BreakdownOptions bd_cold{.warm_start = false};
+    const BreakdownOptions bd_warm{};
 
-    // One-thread variant measurements: legacy first (it is the baseline).
-    std::uint64_t h_hopa_legacy = 0, h_hopa_fast = 0;
-    std::uint64_t h_bd_legacy = 0, h_bd_fast = 0;
-    const double w_hopa_legacy = timed([&] {
+    // One-thread variant measurements: cold first (it is the baseline).
+    std::uint64_t h_hopa_cold = 0, h_hopa_warm = 0;
+    std::uint64_t h_bd_cold = 0, h_bd_warm = 0;
+    const double w_hopa_cold = timed([&] {
       for (int rep = 0; rep < hopa_repeats; ++rep) {
-        h_hopa_legacy = sweep(systems, [&](const TaskSystem& s) {
-          return run_hopa_one(s, hopa_legacy);
+        h_hopa_cold = sweep(systems, [&](const TaskSystem& s) {
+          return run_hopa_one(s, hopa_cold);
         });
       }
     });
-    const double w_hopa_fast = timed([&] {
+    const double w_hopa_warm = timed([&] {
       for (int rep = 0; rep < hopa_repeats; ++rep) {
-        h_hopa_fast = sweep(systems, [&](const TaskSystem& s) {
-          return run_hopa_one(s, hopa_fast);
+        h_hopa_warm = sweep(systems, [&](const TaskSystem& s) {
+          return run_hopa_one(s, hopa_warm);
         });
       }
     });
-    const double w_bd_legacy = timed([&] {
-      h_bd_legacy = sweep(systems, [&](const TaskSystem& s) {
-        return run_breakdown_one(s, bd_legacy);
+    const double w_bd_cold = timed([&] {
+      h_bd_cold = sweep(systems, [&](const TaskSystem& s) {
+        return run_breakdown_one(s, bd_cold);
       });
     });
-    const double w_bd_fast = timed([&] {
-      h_bd_fast = sweep(systems, [&](const TaskSystem& s) {
-        return run_breakdown_one(s, bd_fast);
+    const double w_bd_warm = timed([&] {
+      h_bd_warm = sweep(systems, [&](const TaskSystem& s) {
+        return run_breakdown_one(s, bd_warm);
       });
     });
 
-    const auto speedup = [](double legacy, double fast) {
-      return fast > 0.0 ? legacy / fast : 0.0;
+    const auto speedup = [](double cold, double warm) {
+      return warm > 0.0 ? cold / warm : 0.0;
     };
     const std::vector<PerfVariant> variants{
-        {.name = "hopa-legacy",
-         .wall_seconds = w_hopa_legacy,
+        {.name = "hopa-cold",
+         .wall_seconds = w_hopa_cold,
          .speedup_vs_legacy = 1.0,
-         .result_hash = hash_combine(h_hopa_legacy, h_bd_legacy)},
-        {.name = "hopa-fast",
-         .wall_seconds = w_hopa_fast,
-         .speedup_vs_legacy = speedup(w_hopa_legacy, w_hopa_fast),
-         .result_hash = hash_combine(h_hopa_fast, h_bd_legacy)},
-        {.name = "breakdown-legacy",
-         .wall_seconds = w_bd_legacy,
+         .result_hash = hash_combine(h_hopa_cold, h_bd_cold)},
+        {.name = "hopa-warm",
+         .wall_seconds = w_hopa_warm,
+         .speedup_vs_legacy = speedup(w_hopa_cold, w_hopa_warm),
+         .result_hash = hash_combine(h_hopa_warm, h_bd_cold)},
+        {.name = "breakdown-cold",
+         .wall_seconds = w_bd_cold,
          .speedup_vs_legacy = 1.0,
-         .result_hash = hash_combine(h_hopa_legacy, h_bd_legacy)},
-        {.name = "breakdown-fast",
-         .wall_seconds = w_bd_fast,
-         .speedup_vs_legacy = speedup(w_bd_legacy, w_bd_fast),
-         .result_hash = hash_combine(h_hopa_legacy, h_bd_fast)},
+         .result_hash = hash_combine(h_hopa_cold, h_bd_cold)},
+        {.name = "breakdown-warm",
+         .wall_seconds = w_bd_warm,
+         .speedup_vs_legacy = speedup(w_bd_cold, w_bd_warm),
+         .result_hash = hash_combine(h_hopa_cold, h_bd_warm)},
     };
 
     if (!args.has("json")) {
-      TextTable table({"workload", "legacy wall", "fast wall", "speedup", "identical"});
+      TextTable table({"workload", "cold wall", "warm wall", "speedup", "identical"});
       table.add_row({"HOPA (" + std::to_string(hopa_iters) + " rounds)",
-                     TextTable::fmt(w_hopa_legacy, 3) + "s",
-                     TextTable::fmt(w_hopa_fast, 3) + "s",
-                     TextTable::fmt(speedup(w_hopa_legacy, w_hopa_fast), 2) + "x",
-                     h_hopa_legacy == h_hopa_fast ? "yes" : "NO"});
+                     TextTable::fmt(w_hopa_cold, 3) + "s",
+                     TextTable::fmt(w_hopa_warm, 3) + "s",
+                     TextTable::fmt(speedup(w_hopa_cold, w_hopa_warm), 2) + "x",
+                     h_hopa_cold == h_hopa_warm ? "yes" : "NO"});
       table.add_row({"breakdown search",
-                     TextTable::fmt(w_bd_legacy, 3) + "s",
-                     TextTable::fmt(w_bd_fast, 3) + "s",
-                     TextTable::fmt(speedup(w_bd_legacy, w_bd_fast), 2) + "x",
-                     h_bd_legacy == h_bd_fast ? "yes" : "NO"});
-      std::cout << "== Analysis fast path vs legacy (" << system_count
+                     TextTable::fmt(w_bd_cold, 3) + "s",
+                     TextTable::fmt(w_bd_warm, 3) + "s",
+                     TextTable::fmt(speedup(w_bd_cold, w_bd_warm), 2) + "x",
+                     h_bd_cold == h_bd_warm ? "yes" : "NO"});
+      std::cout << "== Analysis warm start vs cold (" << system_count
                 << " systems, N=" << subtasks << ", U=" << utilization << "%) ==\n\n"
                 << table.to_string();
-      return (h_hopa_legacy == h_hopa_fast && h_bd_legacy == h_bd_fast) ? 0 : 5;
+      return (h_hopa_cold == h_hopa_warm && h_bd_cold == h_bd_warm) ? 0 : 5;
     }
 
     const std::string path = args.value_string("json", "BENCH_analysis.json");
@@ -206,7 +204,7 @@ int main(int argc, char** argv) {
     return write_perf_report(
         "analysis", workload.str(), path, bench_thread_counts(),
         [&](int threads) {
-          // Fast-path workload fanned out over the pool, one system per
+          // Warm workload fanned out over the pool, one system per
           // item; outcomes merge serially in system-index order, so the
           // folded hash is thread-count independent.
           exec::ThreadPool pool{threads};
@@ -215,8 +213,8 @@ int main(int argc, char** argv) {
               static_cast<std::int64_t>(systems.size()),
               [&](std::int64_t index, int /*worker*/) {
                 const TaskSystem& system = systems[static_cast<std::size_t>(index)];
-                SystemOutcome merged = run_hopa_one(system, hopa_fast);
-                const SystemOutcome bd = run_breakdown_one(system, bd_fast);
+                SystemOutcome merged = run_hopa_one(system, hopa_warm);
+                const SystemOutcome bd = run_breakdown_one(system, bd_warm);
                 merged.hash = hash_combine(merged.hash, bd.hash);
                 merged.events += bd.events;
                 outcomes[static_cast<std::size_t>(index)] = merged;

@@ -91,7 +91,8 @@ Task task_from_spec(const TaskSpec& spec) {
 
 class IncrementalDsEngine final : public Engine {
  public:
-  explicit IncrementalDsEngine(bool refine) : refine_(refine) {}
+  explicit IncrementalDsEngine(bool refine)
+      : options_{.refine_jitter_with_best_case = refine} {}
 
   TrialVerdict admit(const SystemState& state, std::uint32_t slot,
                      const TaskSpec& spec) override {
@@ -141,8 +142,7 @@ class IncrementalDsEngine final : public Engine {
       }
     }
     const std::size_t count = imap_.subtask_count();
-    state_.deps.resize(count);
-    state_.warm.resize(count);
+    shape_ieert_deps(*system_, imap_, state_, old_tasks);
     for (std::size_t ti = old_tasks; ti < system_->task_count(); ++ti) {
       const Task& t = system_->tasks()[ti];
       table_.append_row(t.subtasks.size(), 0);
@@ -150,15 +150,12 @@ class IncrementalDsEngine final : public Engine {
       for (const Subtask& s : t.subtasks) {
         cumulative += s.execution_time;
         table_.set(s.ref, cumulative);
-        const std::size_t flat = imap_.flat_index(s.ref);
-        state_.deps[flat] = ieert_table_inputs(imap_, s.ref, imap_.of(s.ref));
-        state_.warm[flat] = IeertWarmEntry{};
       }
       slots_.push_back(first_slot + static_cast<std::uint32_t>(ti - old_tasks));
     }
 
     // -- One analysis trajectory over the grown structures. --
-    const Time new_cap = cap_of(*system_);
+    const Time new_cap = divergence_cap();
     bool cold = new_cap != cap_ || !converged_;
     SubtaskTable pre_table;              // wholesale snapshot, cold trials only
     std::vector<IeertWarmEntry> pre_warm;
@@ -262,7 +259,7 @@ class IncrementalDsEngine final : public Engine {
                       state_.deps.begin() + static_cast<std::ptrdiff_t>(base + len));
     for (auto& list : state_.deps) {
       // Drop the departed flats, shift the rest -- exactly the lists a
-      // fresh ieert_table_inputs pass over the shrunk system yields
+      // fresh shape_ieert_deps over the shrunk system yields
       // (value-level dedup and first-occurrence order are preserved).
       std::size_t write = 0;
       for (const std::uint32_t d : list) {
@@ -273,7 +270,7 @@ class IncrementalDsEngine final : public Engine {
       list.resize(write);
     }
 
-    const Time new_cap = cap_of(*system_);
+    const Time new_cap = divergence_cap();
     if (new_cap != cap_ || !converged_) {
       converged_ = run_cold();
     } else {
@@ -381,24 +378,16 @@ class IncrementalDsEngine final : public Engine {
     }
     system_.emplace(std::move(builder).build());
     imap_ = InterferenceMap{*system_};
-    const std::size_t count = imap_.subtask_count();
     table_ = SubtaskTable{*system_, 0};
     state_ = IeertIncrementalState{};
-    state_.deps.resize(count);
-    state_.warm.assign(count, {});
-    for (const Task& t : system_->tasks()) {
-      for (const Subtask& s : t.subtasks) {
-        state_.deps[imap_.flat_index(s.ref)] =
-            ieert_table_inputs(imap_, s.ref, imap_.of(s.ref));
-      }
-    }
+    shape_ieert_deps(*system_, imap_, state_);
     for (std::size_t i = 0; i < specs.size(); ++i) {
       slots_.push_back(first_slot + static_cast<std::uint32_t>(i));
     }
     const bool trial_converged = run_cold();
     refresh_outcomes(trial_converged);
     if (all_schedulable()) {
-      cap_ = cap_of(*system_);
+      cap_ = divergence_cap();
       converged_ = trial_converged;
       return {true, std::nullopt};
     }
@@ -418,43 +407,19 @@ class IncrementalDsEngine final : public Engine {
     converged_ = true;
   }
 
-  /// Same expression as analyze_sa_ds's divergence cap, so the seeded
+  /// analyze_sa_ds's divergence cap for the current system, so the seeded
   /// sweeps and the offline analysis cap identically.
-  [[nodiscard]] Time cap_of(const TaskSystem& system) const {
-    const SaDsOptions options{.refine_jitter_with_best_case = refine_};
-    Duration max_cutoff = 0;
-    for (const Task& t : system.tasks()) {
-      max_cutoff = std::max(
-          max_cutoff, static_cast<Duration>(options.failure_period_multiplier *
-                                            static_cast<double>(t.period)));
-    }
-    return sat_mul(max_cutoff, 2);
+  [[nodiscard]] Time divergence_cap() const {
+    return sa_ds_ieert_options(*system_, options_).cap;
   }
 
-  [[nodiscard]] IeertOptions pass_options(Time cap) const {
-    const SaDsOptions options{.refine_jitter_with_best_case = refine_};
-    return IeertOptions{.cap = cap,
-                        .refine_jitter_with_best_case =
-                            options.refine_jitter_with_best_case,
-                        .failure_period_multiplier =
-                            options.failure_period_multiplier,
-                        .legacy_demand_path = options.legacy_demand_path};
-  }
-
-  /// In-place sweeps until fixpoint or pass budget. In-sweep cutoff
-  /// capping (bound_subtask_ieer declares a bound infinite past 300x the
-  /// period) makes each sweep equal to cap o IEERT for every recomputed
-  /// entry, so "zero changes" detects exactly the full loop's
-  /// next == current fixpoint.
+  /// In-place sweeps until fixpoint or pass budget: the same loop
+  /// analyze_sa_ds runs, over the persistent table and seeds.
   [[nodiscard]] bool sweep_to_fixpoint(IeertSweepUndo* undo) {
-    const SaDsOptions options{.refine_jitter_with_best_case = refine_};
-    const IeertOptions popts = pass_options(cap_of(*system_));
-    for (int passes = 0; passes < options.max_passes; ++passes) {
-      if (ieert_sweep(*system_, imap_, table_, popts, state_, undo) == 0) {
-        return true;
-      }
-    }
-    return false;
+    return sweep_sa_ds_to_fixpoint(*system_, imap_, table_,
+                                   sa_ds_ieert_options(*system_, options_),
+                                   options_.max_passes, state_, undo)
+        .converged;
   }
 
   /// The cold-trajectory fallback: the exact offline analysis over the
@@ -463,8 +428,7 @@ class IncrementalDsEngine final : public Engine {
   /// of a non-converged run). Warm seeds and dirty flags no longer
   /// describe the table afterwards, so they reset cold.
   [[nodiscard]] bool run_cold() {
-    const SaDsOptions options{.refine_jitter_with_best_case = refine_};
-    SaDsResult result = analyze_sa_ds(*system_, imap_, options);
+    SaDsResult result = analyze_sa_ds(*system_, imap_, options_);
     table_ = std::move(result.analysis.subtask_bounds);
     state_.warm.assign(imap_.subtask_count(), {});
     state_.changed.clear();
@@ -516,7 +480,7 @@ class IncrementalDsEngine final : public Engine {
     return failure;
   }
 
-  bool refine_;
+  const SaDsOptions options_;
   // Persistent committed structures; all empty iff system_ is empty.
   std::optional<TaskSystem> system_;
   std::vector<std::uint32_t> slots_;  ///< per task index, ascending

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "report/csv.h"
+#include "report/json.h"
 #include "report/table.h"
 
 namespace e2e::admission {
@@ -22,23 +23,6 @@ double percentile_us(std::vector<double>& samples, double p) {
       std::max(1.0, std::ceil(p / 100.0 * static_cast<double>(samples.size()))));
   return samples[rank - 1];
 }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string json_str(const std::string& s) { return "\"" + json_escape(s) + "\""; }
 
 std::string verdict_of(const Outcome& outcome) {
   if (outcome.reason != ReasonCode::kNone) return to_string(outcome.reason);
@@ -95,32 +79,32 @@ std::string render_json(const std::vector<Outcome>& outcomes,
                         const ServiceResult& result, const ServiceOptions& options,
                         const AdmissionController& controller) {
   std::ostringstream out;
-  out << "{\n  \"policy\": " << json_str(to_string(options.controller.policy))
-      << ",\n  \"engine\": " << json_str(controller.engine_name())
+  out << "{\n  \"policy\": " << json_string(to_string(options.controller.policy))
+      << ",\n  \"engine\": " << json_string(controller.engine_name())
       << ",\n  \"outcomes\": [\n";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const Outcome& o = outcomes[i];
-    out << "    {\"index\": " << i << ", \"verb\": " << json_str(to_string(o.verb))
-        << ", \"task\": " << json_str(o.task_name)
+    out << "    {\"index\": " << i << ", \"verb\": " << json_string(to_string(o.verb))
+        << ", \"task\": " << json_string(o.task_name)
         << ", \"accepted\": " << (o.accepted ? "true" : "false")
-        << ", \"reason\": " << json_str(to_string(o.reason))
+        << ", \"reason\": " << json_string(to_string(o.reason))
         << ", \"live_tasks\": " << o.live_tasks;
     if (o.reason == ReasonCode::kBoundFailure || !o.remaining_schedulable) {
-      out << ", \"culprit\": {\"task\": " << json_str(o.culprit_task)
+      out << ", \"culprit\": {\"task\": " << json_string(o.culprit_task)
           << ", \"subtask\": " << o.culprit_subtask
           << ", \"processor\": " << o.culprit_processor << ", \"bound\": "
-          << json_str(bound_str(o.culprit_bound)) << ", \"eer\": "
-          << json_str(bound_str(o.culprit_eer))
+          << json_string(bound_str(o.culprit_bound)) << ", \"eer\": "
+          << json_string(bound_str(o.culprit_eer))
           << ", \"deadline\": " << o.culprit_deadline << "}";
     }
     if (o.verb == Verb::kQuery) out << ", \"margin\": " << TextTable::fmt(o.margin, 6);
-    out << ", \"message\": " << json_str(o.message) << "}"
+    out << ", \"message\": " << json_string(o.message) << "}"
         << (i + 1 < outcomes.size() ? ",\n" : "\n");
   }
   out << "  ],\n  \"latency\": [\n";
   for (std::size_t i = 0; i < result.latency.size(); ++i) {
     const KindLatency& lat = result.latency[i];
-    out << "    {\"kind\": " << json_str(lat.kind) << ", \"count\": " << lat.count
+    out << "    {\"kind\": " << json_string(lat.kind) << ", \"count\": " << lat.count
         << ", \"p50_us\": " << TextTable::fmt(lat.p50_us, 1)
         << ", \"p95_us\": " << TextTable::fmt(lat.p95_us, 1)
         << ", \"p99_us\": " << TextTable::fmt(lat.p99_us, 1) << "}"

@@ -8,9 +8,7 @@
 // structure-of-arrays view of that set (InterferenceMap::soa_of):
 // periods, execution times and jitters live in flat parallel arrays, so
 // the inner loop is a contiguous sweep with no pointer chasing, and the
-// templated solve_fixpoint inlines operator() into the iteration --
-// eliminating the per-iterate std::function dispatch and the per-instance
-// lambda captures the analyses previously paid for.
+// templated solve_fixpoint inlines operator() into the iteration.
 #pragma once
 
 #include <span>

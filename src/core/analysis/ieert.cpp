@@ -6,8 +6,6 @@
 #include "common/error.h"
 #include "common/math.h"
 #include "core/analysis/blocking.h"
-#include "core/analysis/demand.h"
-#include "core/analysis/fixpoint.h"
 #include "core/analysis/kernels.h"
 
 namespace e2e {
@@ -41,134 +39,59 @@ Duration release_jitter(const TaskSystem& system, SubtaskRef ref,
 }
 
 /// `hp_jitter` is a caller-owned buffer (reused across subtasks so one
-/// IEERT pass performs no per-subtask allocations once it reaches steady
+/// IEERT sweep performs no per-subtask allocations once it reaches steady
 /// state); on return it holds this subtask's per-interferer jitters.
-Duration bound_subtask_ieer(const TaskSystem& system, const Subtask& subtask,
-                            std::span<const Interferer> hp_aos,
-                            const InterferenceMap::SoaView& hp,
-                            const SubtaskTable& current, const IeertOptions& options,
-                            std::vector<Duration>& hp_jitter, IeertWarmEntry* warm) {
+Duration bound_subtask_ieer(const TaskSystem& system, const InterferenceMap& interference,
+                            const Subtask& subtask, const SubtaskTable& current,
+                            const IeertOptions& options, std::vector<Duration>& hp_jitter,
+                            IeertWarmEntry* warm) {
   const Task& task = system.task(subtask.ref.task);
-  const Duration period = task.period;
-  const Duration exec = subtask.execution_time;
-  // Constant offset added to every instance's IEER: the predecessor's
-  // IEER bound plus (extension) the task's own first-release jitter.
-  const Duration own_accum =
-      sat_add(current.predecessor_or_zero(subtask.ref), task.release_jitter);
-  const Duration own_jitter = release_jitter(system, subtask.ref, current, options);
-  const Duration blocking = blocking_term(system, subtask);
-  if (is_infinite(own_accum)) return kTimeInfinity;
-
-  const Duration cutoff =
-      options.failure_period_multiplier > 0.0
-          ? static_cast<Duration>(options.failure_period_multiplier *
-                                  static_cast<double>(period))
-          : kTimeInfinity;
-  // IEER >= predecessor IEER + own execution: already beyond salvation.
-  if (own_accum > cutoff) return kTimeInfinity;
-
+  const std::span<const Interferer> hp_aos = interference.of(subtask.ref);
   hp_jitter.resize(hp_aos.size());
   for (std::size_t k = 0; k < hp_aos.size(); ++k) {
     hp_jitter[k] = release_jitter(system, hp_aos[k].ref, current, options);
     if (is_infinite(hp_jitter[k])) return kTimeInfinity;
   }
-
-  if (!options.legacy_demand_path) {
-    // Fast path: the shared kernel, over this pass's jitter terms.
-    const HpView hp_view{hp.periods, hp.execs, hp_jitter};
-    const IeerEquation eq{.period = period,
-                          .exec = exec,
-                          .own_jitter = own_jitter,
-                          .own_accum = own_accum,
-                          .blocking = blocking,
-                          .cutoff = cutoff,
-                          .cap = options.cap};
-    return solve_ieer_bound(eq, hp_view, warm);
-  }
-
-  // Legacy path: type-erased std::function demand, cold busy-period
-  // start. Kept for benchmarking the fast path against the baseline.
-  const FixpointOptions fp{.cap = options.cap};
-
-  // Step 1: busy-period duration with jittered ceilings (self included).
-  const DemandFn busy_fn = [&](Time t) -> Duration {
-    Duration sum = sat_add(blocking, jittered_demand(t, own_jitter, period, exec));
-    for (std::size_t k = 0; k < hp_aos.size(); ++k) {
-      sum = sat_add(sum, jittered_demand(t, hp_jitter[k], hp_aos[k].period,
-                                         hp_aos[k].execution_time));
-    }
-    return sum;
-  };
-  const std::optional<Time> busy = solve_fixpoint(busy_fn, fp);
-  if (!busy) return kTimeInfinity;
-  if (warm != nullptr) warm->busy = *busy;
-
-  // Step 2: instances of T_{i,j} possibly inside the busy period.
-  const std::int64_t instances = ceil_div(sat_add(*busy, own_jitter), period);
-
-  // Steps 3-4. C(m) is monotone in m with C(m+1) >= C(m) + exec, so each
-  // fixpoint warm-starts from the previous completion (amortizes the
-  // iteration cost over the whole busy period).
-  Duration worst = 0;
-  Time previous_completion = 0;
-  if (warm != nullptr) {
-    warm->completions.resize(static_cast<std::size_t>(std::max<std::int64_t>(instances, 0)), 0);
-  }
-  for (std::int64_t m = 1; m <= instances; ++m) {
-    Time start = std::max(sat_mul(m, exec), sat_add(previous_completion, exec));
-    if (warm != nullptr) {
-      // Same monotone argument per instance: C(m) only grows with the
-      // jitters, so last pass's completion is a valid warm seed.
-      start = std::max(start, warm->completions[static_cast<std::size_t>(m - 1)]);
-    }
-    const DemandFn completion_fn = [&](Time t) -> Duration {
-      Duration sum = sat_add(blocking, sat_mul(m, exec));
-      for (std::size_t k = 0; k < hp_aos.size(); ++k) {
-        sum = sat_add(sum, jittered_demand(t, hp_jitter[k], hp_aos[k].period,
-                                           hp_aos[k].execution_time));
-      }
-      return sum;
-    };
-    const std::optional<Time> completion = solve_fixpoint_from(start, completion_fn, fp);
-    if (!completion) return kTimeInfinity;
-    previous_completion = *completion;
-    if (warm != nullptr) {
-      warm->completions[static_cast<std::size_t>(m - 1)] = *completion;
-    }
-    const Duration r = sat_add(*completion, own_accum) - (m - 1) * period;
-    worst = std::max(worst, r);
-    // The max over m is what gets compared against the cutoff; once any
-    // instance exceeds it the result is infinite regardless of the rest.
-    if (worst > cutoff) return kTimeInfinity;
-  }
-  return worst;
-}
-
-/// Flat indices of the `current` entries bound_subtask_ieer reads for
-/// `ref`: its own predecessor plus each interferer's predecessor (the
-/// jitter terms). Everything else in the equation is static per system.
-std::vector<std::uint32_t> table_inputs_of(const InterferenceMap& interference,
-                                           SubtaskRef ref,
-                                           std::span<const Interferer> hp) {
-  std::vector<std::uint32_t> deps;
-  deps.reserve(hp.size() + 1);
-  const auto push = [&](SubtaskRef pred) {
-    const auto flat = static_cast<std::uint32_t>(interference.flat_index(pred));
-    if (std::find(deps.begin(), deps.end(), flat) == deps.end()) deps.push_back(flat);
-  };
-  if (ref.index > 0) push(SubtaskRef{ref.task, ref.index - 1});
-  for (const Interferer& k : hp) {
-    if (k.ref.index > 0) push(SubtaskRef{k.ref.task, k.ref.index - 1});
-  }
-  return deps;
+  const IeerEquation eq{
+      .period = task.period,
+      .exec = subtask.execution_time,
+      .own_jitter = release_jitter(system, subtask.ref, current, options),
+      // Constant offset added to every instance's IEER: the predecessor's
+      // IEER bound plus (extension) the task's own first-release jitter.
+      .own_accum = sat_add(current.predecessor_or_zero(subtask.ref), task.release_jitter),
+      .blocking = blocking_term(system, subtask),
+      .cutoff = options.failure_period_multiplier > 0.0
+                    ? static_cast<Duration>(options.failure_period_multiplier *
+                                            static_cast<double>(task.period))
+                    : kTimeInfinity,
+      .cap = options.cap};
+  const InterferenceMap::SoaView hp = interference.soa_of(subtask.ref);
+  return solve_ieer_bound(eq, HpView{hp.periods, hp.execs, hp_jitter}, warm);
 }
 
 }  // namespace
 
-std::vector<std::uint32_t> ieert_table_inputs(const InterferenceMap& interference,
-                                              SubtaskRef ref,
-                                              std::span<const Interferer> hp) {
-  return table_inputs_of(interference, ref, hp);
+void shape_ieert_deps(const TaskSystem& system, const InterferenceMap& interference,
+                      IeertIncrementalState& state, std::size_t first_task) {
+  const std::size_t count = interference.subtask_count();
+  state.deps.resize(count);
+  state.warm.resize(count);
+  for (std::size_t ti = first_task; ti < system.task_count(); ++ti) {
+    for (const Subtask& s : system.tasks()[ti].subtasks) {
+      const std::span<const Interferer> hp = interference.of(s.ref);
+      std::vector<std::uint32_t>& deps = state.deps[interference.flat_index(s.ref)];
+      deps.clear();
+      deps.reserve(hp.size() + 1);
+      const auto push_predecessor = [&](SubtaskRef ref) {
+        if (ref.index <= 0) return;
+        const auto flat = static_cast<std::uint32_t>(
+            interference.flat_index(SubtaskRef{ref.task, ref.index - 1}));
+        if (std::find(deps.begin(), deps.end(), flat) == deps.end()) deps.push_back(flat);
+      };
+      push_predecessor(s.ref);
+      for (const Interferer& k : hp) push_predecessor(k.ref);
+    }
+  }
 }
 
 std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interference,
@@ -180,10 +103,6 @@ std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interfe
   E2E_ASSERT(undo == nullptr || undo->seen.size() == count,
              "ieert_sweep: undo journal not armed");
 
-  // Same staleness and ordering rules as ieert_pass's fast path; the only
-  // difference is that `table` doubles as both `current` and `next` (no
-  // per-sweep copy). Gauss-Seidel already feeds earlier updates into later
-  // entries within one sweep, so the converged fixpoint is unchanged.
   const bool incremental = !state.changed.empty();
   std::vector<std::uint8_t> sweep_changed(count, 0);
   std::vector<Duration> hp_jitter;
@@ -193,6 +112,9 @@ std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interfe
       const std::size_t flat = interference.flat_index(s.ref);
       bool stale = true;
       if (incremental) {
+        // Stale iff the caller forced it (equation changed under its
+        // feet) or an input changed since this entry was last computed:
+        // either during the previous sweep or earlier in this one.
         stale = !state.force.empty() && state.force[flat] != 0;
         for (std::size_t d_idx = 0; !stale && d_idx < state.deps[flat].size();
              ++d_idx) {
@@ -200,7 +122,7 @@ std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interfe
           if (state.changed[d] != 0 || sweep_changed[d] != 0) stale = true;
         }
       }
-      if (!stale) continue;
+      if (!stale) continue;  // recomputing would reproduce the entry exactly
       if (undo != nullptr && undo->seen[flat] == 0) {
         undo->seen[flat] = 1;
         undo->entries.push_back(IeertSweepUndo::Entry{
@@ -210,10 +132,8 @@ std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interfe
             .warm = state.warm[flat],
         });
       }
-      const Duration bound =
-          bound_subtask_ieer(system, s, interference.of(s.ref),
-                             interference.soa_of(s.ref), table, options, hp_jitter,
-                             &state.warm[flat]);
+      const Duration bound = bound_subtask_ieer(system, interference, s, table, options,
+                                                hp_jitter, &state.warm[flat]);
       if (bound != table.at(s.ref)) {
         sweep_changed[flat] = 1;
         ++changed_count;
@@ -224,80 +144,6 @@ std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interfe
   state.changed = std::move(sweep_changed);
   state.force.clear();  // one-shot: consumed by this sweep
   return changed_count;
-}
-
-SubtaskTable ieert_pass(const TaskSystem& system, const InterferenceMap& interference,
-                        const SubtaskTable& current, const IeertOptions& options,
-                        IeertIncrementalState* state) {
-  const std::size_t count = interference.subtask_count();
-  if (state != nullptr && state->deps.size() != count) {
-    state->deps.resize(count);
-    // Preserve caller-seeded warm entries; only (re)shape on mismatch.
-    if (state->warm.size() != count) state->warm.assign(count, {});
-    for (const Task& t : system.tasks()) {
-      for (const Subtask& s : t.subtasks) {
-        state->deps[interference.flat_index(s.ref)] =
-            table_inputs_of(interference, s.ref, interference.of(s.ref));
-      }
-    }
-  }
-  std::vector<Duration> hp_jitter;  // reused by every subtask in the pass
-
-  if (state == nullptr) {
-    // Jacobi sweep, exactly the paper's R' = IEERT(T, R): every entry is
-    // recomputed against the immutable input table.
-    SubtaskTable next{system, 0};
-    for (const Task& t : system.tasks()) {
-      for (const Subtask& s : t.subtasks) {
-        next.set(s.ref,
-                 bound_subtask_ieer(system, s, interference.of(s.ref),
-                                    interference.soa_of(s.ref), current, options,
-                                    hp_jitter, nullptr));
-      }
-    }
-    return next;
-  }
-
-  // Fast path: one in-place Gauss-Seidel sweep. Entries updated earlier in
-  // the sweep feed later entries immediately, so a whole chain's growth
-  // propagates in one sweep instead of one link per sweep. Chaotic
-  // iteration of a monotone operator from an under-approximation converges
-  // to the same least fixpoint as the Jacobi sweeps (every intermediate
-  // table stays sandwiched between the start and the fixpoint), so the
-  // converged table -- the analysis result -- is bit-identical; only the
-  // number of sweeps to reach it shrinks.
-  const bool incremental = !state->changed.empty();
-  std::vector<std::uint8_t> sweep_changed(count, 0);
-  SubtaskTable next = current;
-  for (const Task& t : system.tasks()) {
-    for (const Subtask& s : t.subtasks) {
-      const std::size_t flat = interference.flat_index(s.ref);
-      bool stale = true;
-      if (incremental) {
-        // Stale iff the caller forced it (equation changed under its
-        // feet) or an input changed since this entry was last computed:
-        // either during the previous sweep or earlier in this one.
-        stale = !state->force.empty() && state->force[flat] != 0;
-        for (std::size_t d_idx = 0; !stale && d_idx < state->deps[flat].size();
-             ++d_idx) {
-          const std::uint32_t d = state->deps[flat][d_idx];
-          if (state->changed[d] != 0 || sweep_changed[d] != 0) stale = true;
-        }
-      }
-      if (!stale) continue;  // recomputing would reproduce the entry exactly
-      const Duration bound =
-          bound_subtask_ieer(system, s, interference.of(s.ref),
-                             interference.soa_of(s.ref), next, options, hp_jitter,
-                             &state->warm[flat]);
-      if (bound != next.at(s.ref)) {
-        sweep_changed[flat] = 1;
-        next.set(s.ref, bound);
-      }
-    }
-  }
-  state->changed = std::move(sweep_changed);
-  state->force.clear();  // one-shot: consumed by this sweep
-  return next;
 }
 
 }  // namespace e2e

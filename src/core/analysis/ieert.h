@@ -44,20 +44,8 @@ struct IeertOptions {
   /// than letting bounds crawl up by small increments over thousands of
   /// passes. 0 disables the cutoff.
   double failure_period_multiplier = 0.0;
-  /// Route demand through type-erased std::function calls (the
-  /// pre-fast-path code shape) instead of the inlined kernel; results are
-  /// identical. For benchmarking the fast path against the baseline.
-  bool legacy_demand_path = false;
 };
 
-/// Dirty-tracking state for incremental IEERT iteration. A subtask's
-/// refined bound is a pure function of the `current` entries of its own
-/// predecessor and of each interferer's predecessor (the jitter terms);
-/// everything else in its equation is static. When none of those inputs
-/// changed in the last table transition, recomputing the entry would
-/// reproduce it exactly, so the incremental pass copies it instead.
-/// Converging iterations stabilize most entries early, making the final
-/// passes nearly free; the result table is bit-identical to full passes.
 /// Per-subtask fixpoint seeds carried across passes. The IEERT iteration
 /// is a Kleene sequence -- the table only grows -- so every jitter term
 /// only grows pass over pass, and with it each subtask's busy-period and
@@ -70,9 +58,16 @@ struct IeertWarmEntry {
   std::vector<Time> completions;  ///< last pass's C(m), 1-indexed by m-1
 };
 
+/// Dirty-tracking state for incremental IEERT iteration. A subtask's
+/// refined bound is a pure function of the table entries of its own
+/// predecessor and of each interferer's predecessor (the jitter terms);
+/// everything else in its equation is static. When none of those inputs
+/// changed since the entry was last computed, recomputing it would
+/// reproduce it exactly, so the sweep skips it. Converging iterations
+/// stabilize most entries early, making the final sweeps nearly free.
 struct IeertIncrementalState {
-  /// Per flat subtask index: flat indices of its table inputs (built on
-  /// first use, fixed per system).
+  /// Per flat subtask index: flat indices of its table inputs (shaped by
+  /// shape_ieert_deps, fixed per system).
   std::vector<std::vector<std::uint32_t>> deps;
   /// Which entries changed in the last current -> next transition; empty
   /// means "first pass, recompute everything".
@@ -92,37 +87,16 @@ struct IeertIncrementalState {
   std::vector<IeertWarmEntry> warm;
 };
 
-/// One application R' = IEERT(T, R). `current` holds IEER bounds
-/// (cumulative along each chain); entries may be kTimeInfinity, in which
-/// case dependent bounds become infinite as well. Returns the refined
-/// table; never returns less than `current` entry-wise when `current` is
-/// a genuine under-approximation (monotone operator).
-///
-/// With a non-null `state`, runs the fast-path sweep instead: in-place
-/// Gauss-Seidel (entries updated earlier in the sweep feed later ones
-/// immediately), entries whose inputs did not change are skipped, and
-/// each recomputed fixpoint warm-starts from its previous value. Chaotic
-/// iteration of the monotone IEERT operator from an under-approximation
-/// reaches the same least fixpoint as the Jacobi sweeps, so the
-/// *converged* table is bit-identical; intermediate tables and the sweep
-/// count needed to converge differ (fewer sweeps). Callers must feed
-/// passes in sequence (each pass's `current` being the previous result).
-[[nodiscard]] SubtaskTable ieert_pass(const TaskSystem& system,
-                                      const InterferenceMap& interference,
-                                      const SubtaskTable& current,
-                                      const IeertOptions& options = {},
-                                      IeertIncrementalState* state = nullptr);
-
-/// Flat indices of the `current` entries an IEERT recomputation of `ref`
-/// reads: its own predecessor plus each interferer's predecessor (the
-/// jitter terms). Everything else in the equation is static per system.
-/// `hp` must be `interference.of(ref)`. Deduplicated, first occurrence
-/// first -- the list ieert_pass builds internally, exposed so the
-/// admission engine can delta-maintain IeertIncrementalState::deps
-/// across admits/removes instead of rebuilding all lists per request.
-[[nodiscard]] std::vector<std::uint32_t> ieert_table_inputs(
-    const InterferenceMap& interference, SubtaskRef ref,
-    std::span<const Interferer> hp);
+/// Sizes `state.deps` and `state.warm` to the system's subtask count
+/// and rebuilds the dependency list of every subtask of tasks
+/// `first_task` onwards: the flat indices of the table entries its IEERT
+/// equation reads -- its own predecessor plus each interferer's
+/// predecessor (the jitter terms) -- deduplicated, first occurrence
+/// first. Existing warm seeds are kept; new ones start cold. The
+/// admission engine passes the first appended task to shape only the
+/// candidate rows and delta-maintains the residents' lists itself.
+void shape_ieert_deps(const TaskSystem& system, const InterferenceMap& interference,
+                      IeertIncrementalState& state, std::size_t first_task = 0);
 
 /// First-touch journal of one or more in-place ieert_sweep() calls:
 /// everything needed to restore the table and warm seeds of a rejected
@@ -146,14 +120,24 @@ struct IeertSweepUndo {
   }
 };
 
-/// One in-place Gauss-Seidel sweep of `table` -- the no-copy form of
-/// ieert_pass's fast path for engines that persist the converged table
-/// across requests. Returns the number of entries whose value changed;
-/// 0 means `table` is the (least) fixpoint. Unlike ieert_pass, `state`
-/// is required and its deps/warm must already be sized to the system
-/// (the caller delta-maintains them); `state.changed` empty means
-/// "recompute everything". With `undo`, pre-recomputation values and
-/// warm seeds are journaled (first touch only) for trial rollback.
+/// One in-place application of IEERT to `table` (entries may be
+/// kTimeInfinity, in which case dependent bounds become infinite too).
+/// Returns the number of entries whose value changed; 0 means `table` is
+/// a fixpoint, R = IEERT(T, R).
+///
+/// The sweep is Gauss-Seidel: entries updated earlier in the sweep feed
+/// later ones immediately, so a chain's growth propagates in one sweep
+/// instead of one link per sweep. Entries whose inputs did not change
+/// (see IeertIncrementalState) are skipped, and each recomputed fixpoint
+/// warm-starts from its previous value. Chaotic iteration of the
+/// monotone IEERT operator from an under-approximation reaches the same
+/// least fixpoint as the paper's Jacobi passes, so the converged table
+/// is bit-identical; only the number of sweeps to reach it shrinks.
+///
+/// `state.deps`/`state.warm` must be sized to the system (see
+/// shape_ieert_deps); `state.changed` empty means "recompute
+/// everything". With `undo`, pre-recomputation values and warm seeds are
+/// journaled (first touch only) for trial rollback.
 std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interference,
                         SubtaskTable& table, const IeertOptions& options,
                         IeertIncrementalState& state, IeertSweepUndo* undo = nullptr);

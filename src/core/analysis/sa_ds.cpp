@@ -3,28 +3,35 @@
 #include <algorithm>
 
 #include "common/math.h"
-#include "core/analysis/ieert.h"
 
 namespace e2e {
-namespace {
 
-/// Replaces any entry exceeding its task's failure cutoff with infinity.
-/// IEER bounds are cumulative, so capping every chain position against the
-/// task's cutoff is equivalent to the paper's EER-level test but stops
-/// divergent iterations sooner.
-void apply_failure_cap(const TaskSystem& system, double multiplier, SubtaskTable& table) {
+IeertOptions sa_ds_ieert_options(const TaskSystem& system, const SaDsOptions& options) {
+  Duration max_cutoff = 0;
   for (const Task& t : system.tasks()) {
-    const Duration cutoff =
-        static_cast<Duration>(multiplier * static_cast<double>(t.period));
-    for (const Subtask& s : t.subtasks) {
-      if (!is_infinite(table.at(s.ref)) && table.at(s.ref) > cutoff) {
-        table.set(s.ref, kTimeInfinity);
-      }
-    }
+    max_cutoff = std::max(
+        max_cutoff, static_cast<Duration>(options.failure_period_multiplier *
+                                          static_cast<double>(t.period)));
   }
+  return IeertOptions{.cap = sat_mul(max_cutoff, 2),
+                      .refine_jitter_with_best_case = options.refine_jitter_with_best_case,
+                      .failure_period_multiplier = options.failure_period_multiplier};
 }
 
-}  // namespace
+SaDsSweeps sweep_sa_ds_to_fixpoint(const TaskSystem& system,
+                                   const InterferenceMap& interference, SubtaskTable& table,
+                                   const IeertOptions& ieert, int max_passes,
+                                   IeertIncrementalState& state, IeertSweepUndo* undo) {
+  SaDsSweeps run;
+  while (run.passes < max_passes) {
+    ++run.passes;
+    if (ieert_sweep(system, interference, table, ieert, state, undo) == 0) {
+      run.converged = true;
+      break;
+    }
+  }
+  return run;
+}
 
 SaDsResult analyze_sa_ds(const TaskSystem& system, const SaDsOptions& options) {
   return analyze_sa_ds(system, InterferenceMap{system}, options);
@@ -62,37 +69,17 @@ SaDsResult analyze_sa_ds(const TaskSystem& system, const InterferenceMap& interf
     }
   }
 
-  // The fixpoint caps below keep each IEERT pass cheap once a chain is
-  // already beyond salvation: no equation needs to be solved past the
-  // largest per-task cutoff.
-  Duration max_cutoff = 0;
-  for (const Task& t : system.tasks()) {
-    max_cutoff = std::max(
-        max_cutoff, static_cast<Duration>(options.failure_period_multiplier *
-                                          static_cast<double>(t.period)));
-  }
-  const IeertOptions pass_options{
-      .cap = sat_mul(max_cutoff, 2),
-      .refine_jitter_with_best_case = options.refine_jitter_with_best_case,
-      .failure_period_multiplier = options.failure_period_multiplier,
-      .legacy_demand_path = options.legacy_demand_path};
-
-  // Iterate (Figure 11 step 2) until R == IEERT(T, R). The fast path
-  // tracks which entries changed between passes and skips entries whose
-  // inputs are untouched (bit-identical to full passes; see ieert.h); the
-  // legacy path recomputes every entry, as the pre-fast-path code did.
-  IeertIncrementalState incremental;
-  IeertIncrementalState* state = options.legacy_demand_path ? nullptr : &incremental;
-  for (result.passes = 0; result.passes < options.max_passes;) {
-    SubtaskTable next = ieert_pass(system, interference, current, pass_options, state);
-    apply_failure_cap(system, options.failure_period_multiplier, next);
-    ++result.passes;
-    if (next == current) {
-      result.converged = true;
-      break;
-    }
-    current = std::move(next);
-  }
+  // Iterate (Figure 11 step 2) until R == IEERT(T, R). The first sweep
+  // recomputes every entry; later ones skip entries whose inputs did not
+  // change (see ieert.h).
+  IeertIncrementalState state;
+  shape_ieert_deps(system, interference, state);
+  const SaDsSweeps run =
+      sweep_sa_ds_to_fixpoint(system, interference, current,
+                              sa_ds_ieert_options(system, options), options.max_passes,
+                              state);
+  result.passes = run.passes;
+  result.converged = run.converged;
 
   // Only a converged table is a genuine fixpoint worth warm-starting
   // from; a pass-budget blowout leaves `current` mid-iteration.

@@ -8,9 +8,15 @@
 // iterates only grow; when a bound exceeds the paper's cutoff of 300 times
 // the task's period it is declared infinite ("failure"), matching the
 // failure criterion used for Figure 12.
+//
+// The iteration itself is sweep_sa_ds_to_fixpoint: repeated in-place
+// ieert_sweep()s (see ieert.h) until a sweep changes nothing. The offline
+// analysis and the online admission engine (src/admission/engine_ds.cpp)
+// both run it, under the options sa_ds_ieert_options derives.
 #pragma once
 
 #include "core/analysis/bounds.h"
+#include "core/analysis/ieert.h"
 #include "core/analysis/interference.h"
 #include "core/analysis/scratch.h"
 #include "task/system.h"
@@ -27,9 +33,6 @@ struct SaDsOptions {
   /// Use the best-case-refined jitter terms (see IeertOptions). Off by
   /// default: the paper's Algorithm SA/DS uses the plain R_{u,v-1} jitter.
   bool refine_jitter_with_best_case = false;
-  /// Route demand through type-erased std::function calls (pre-fast-path
-  /// code shape); results identical, benchmarking only.
-  bool legacy_demand_path = false;
 };
 
 struct SaDsResult {
@@ -67,5 +70,30 @@ struct SaDsResult {
                                        const InterferenceMap& interference,
                                        const SaDsOptions& options = {},
                                        AnalysisScratch* scratch = nullptr);
+
+/// The IEERT options every SA/DS sweep of `system` runs under: the
+/// per-task failure cutoff (options.failure_period_multiplier x period)
+/// applied inside each pass, and a fixpoint divergence cap of twice the
+/// largest cutoff -- no equation needs solving past it, which keeps
+/// sweeps cheap once a chain is beyond salvation.
+[[nodiscard]] IeertOptions sa_ds_ieert_options(const TaskSystem& system,
+                                               const SaDsOptions& options);
+
+struct SaDsSweeps {
+  int passes = 0;          ///< sweeps run, the last one included
+  bool converged = false;  ///< the last sweep changed no entry
+};
+
+/// Figure 11 step 2: sweeps `table` in place with IEERT until a sweep
+/// changes no entry (converged) or `max_passes` sweeps ran. Because each
+/// sweep applies the failure cutoff to every entry it recomputes, "no
+/// change" is exactly the paper's R == cap(IEERT(T, R)). `state` and
+/// `undo` are forwarded to every ieert_sweep.
+[[nodiscard]] SaDsSweeps sweep_sa_ds_to_fixpoint(const TaskSystem& system,
+                                                 const InterferenceMap& interference,
+                                                 SubtaskTable& table,
+                                                 const IeertOptions& ieert, int max_passes,
+                                                 IeertIncrementalState& state,
+                                                 IeertSweepUndo* undo = nullptr);
 
 }  // namespace e2e

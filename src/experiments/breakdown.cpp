@@ -1,6 +1,5 @@
 #include "experiments/breakdown.h"
 
-#include <optional>
 #include <utility>
 
 #include "common/error.h"
@@ -27,7 +26,7 @@ struct ScratchFrontier {
 
 bool schedulable_at(const TaskSystem& base, double target_utilization,
                     double base_utilization, AnalysisKind analysis,
-                    const BreakdownOptions& options, ScratchFrontier* frontier) {
+                    ScratchFrontier* frontier) {
   const double factor = target_utilization / base_utilization;
   const TaskSystem scaled = scale_execution_times(base, factor);
   const InterferenceMap interference{scaled};
@@ -44,11 +43,9 @@ bool schedulable_at(const TaskSystem& base, double target_utilization,
 
   bool ok = false;
   if (analysis == AnalysisKind::kSaPm) {
-    const SaPmOptions pm{.legacy_demand_path = options.legacy_demand_path};
-    ok = analyze_sa_pm(scaled, interference, pm, sc).system_schedulable();
+    ok = analyze_sa_pm(scaled, interference, {}, sc).system_schedulable();
   } else {
-    const SaDsOptions ds{.legacy_demand_path = options.legacy_demand_path};
-    ok = analyze_sa_ds(scaled, interference, ds, sc).analysis.system_schedulable();
+    ok = analyze_sa_ds(scaled, interference, {}, sc).analysis.system_schedulable();
   }
   if (frontier != nullptr && ok && (!frontier->has || factor >= frontier->factor)) {
     frontier->scratch = std::move(working);
@@ -71,13 +68,13 @@ double breakdown_utilization(const TaskSystem& system, AnalysisKind analysis,
   // Establish a schedulable lower end; execution times can't shrink below
   // one tick, so "0" here means even the floor is unschedulable.
   double lo = options.tolerance;
-  if (!schedulable_at(system, lo, base, analysis, options, frontier)) return 0.0;
+  if (!schedulable_at(system, lo, base, analysis, frontier)) return 0.0;
   double hi = options.max_utilization;
-  if (schedulable_at(system, hi, base, analysis, options, frontier)) return hi;
+  if (schedulable_at(system, hi, base, analysis, frontier)) return hi;
 
   while (hi - lo > options.tolerance) {
     const double mid = (lo + hi) / 2.0;
-    if (schedulable_at(system, mid, base, analysis, options, frontier)) {
+    if (schedulable_at(system, mid, base, analysis, frontier)) {
       lo = mid;
     } else {
       hi = mid;
@@ -105,7 +102,7 @@ std::vector<BreakdownResult> run_breakdown_experiment(int systems, std::uint64_t
         seed ^ (static_cast<std::uint64_t>(n) << 40), systems);
     const std::vector<std::pair<double, double>> utilizations =
         executor.map<std::pair<double, double>>(
-            systems, [&](std::int64_t i, std::optional<Engine>&) {
+            systems, [&](std::int64_t i, ScenarioExecutor::WorkerSlot&) {
               Rng rng = streams[static_cast<std::size_t>(i)];
               // The base utilization only sets the starting point of the
               // scale; 50% keeps every generated system analyzable.

@@ -32,9 +32,6 @@ struct BreakdownOptions {
   /// monotone in the scale factor while periods (hence caps and cutoffs)
   /// never change -- and bit-identical to the cold search.
   bool warm_start = true;
-  /// Forwarded to the analyses; reproduces the pre-fast-path demand
-  /// dispatch for benchmarking.
-  bool legacy_demand_path = false;
   /// Worker threads for run_breakdown_experiment; 0 = E2E_THREADS env
   /// var, else hardware concurrency. Results are identical at every
   /// thread count.

@@ -97,7 +97,9 @@ ExhaustiveResult exhaustive_worst_eer(const TaskSystem& system, ProtocolKind kin
   for (std::int64_t chunk_begin = 0; chunk_begin < combinations;
        chunk_begin += chunk_size) {
     const std::int64_t count = std::min(chunk_size, combinations - chunk_begin);
-    executor.for_each(count, [&](std::int64_t offset, std::optional<Engine>& engine) {
+    executor.for_each(count, [&](std::int64_t offset,
+                                 ScenarioExecutor::WorkerSlot& slot) {
+      std::optional<Engine>& engine = slot.engine;
       std::vector<Time> phases;
       decode(chunk_begin + offset, phases);
       const TaskSystem phased = with_phases(system, phases);

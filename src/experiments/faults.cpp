@@ -120,7 +120,8 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options,
   const std::int64_t items =
       static_cast<std::int64_t>(severities.size() * protocols.size()) * per_cell;
   const std::vector<RunOutcome> outcomes = executor.map<RunOutcome>(
-      items, [&](std::int64_t item, std::optional<Engine>& engine) {
+      items, [&](std::int64_t item, ScenarioExecutor::WorkerSlot& slot) {
+        std::optional<Engine>& engine = slot.engine;
         const std::int64_t cell_index = item / per_cell;
         const FaultSeverity& severity =
             severities[static_cast<std::size_t>(cell_index) / protocols.size()];

@@ -212,8 +212,8 @@ ConfigResult run_configuration(const Configuration& config, const SweepOptions& 
   const std::vector<SystemEvaluation> evaluations =
       executor.map<SystemEvaluation>(
           options.systems_per_config,
-          [&](std::int64_t i, std::optional<Engine>& engine) {
-            return evaluate_system(engine, streams[static_cast<std::size_t>(i)],
+          [&](std::int64_t i, ScenarioExecutor::WorkerSlot& slot) {
+            return evaluate_system(slot.engine, streams[static_cast<std::size_t>(i)],
                                    gen_options, options);
           });
 

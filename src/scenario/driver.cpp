@@ -15,6 +15,7 @@
 #include "experiments/monte_carlo.h"
 #include "experiments/sweep.h"
 #include "report/csv.h"
+#include "report/json.h"
 #include "report/table.h"
 #include "scenario/executor.h"
 #include "task/paper_examples.h"
@@ -23,12 +24,6 @@
 
 namespace e2e {
 namespace {
-
-std::string hex_hash(std::uint64_t hash) {
-  std::ostringstream stream;
-  stream << "0x" << std::hex << std::setfill('0') << std::setw(16) << hash;
-  return stream.str();
-}
 
 /// Shortest decimal form that strtod parses back exactly (JSON/CSV cells).
 std::string fmt_shortest(double v) {
@@ -41,23 +36,6 @@ std::string fmt_shortest(double v) {
   stream << std::setprecision(17) << v;
   return stream.str();
 }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
-
-std::string json_str(const std::string& s) { return "\"" + json_escape(s) + "\""; }
 
 TaskSystem resolve_system(const SystemSource& src, std::istream& in) {
   switch (src.kind) {
@@ -153,15 +131,15 @@ int run_montecarlo(const ScenarioSpec& spec, std::istream& in, std::ostream& out
       for (std::size_t i = 0; i < results.size(); ++i) {
         if (i > 0) out << ",";
         const MonteCarloResult& r = results[i];
-        out << "{\"protocol\":" << json_str(std::string{to_string(spec.protocols[i])})
-            << ",\"schedule_hash\":" << json_str(hex_hash(r.schedule_hash))
+        out << "{\"protocol\":" << json_string(std::string{to_string(spec.protocols[i])})
+            << ",\"schedule_hash\":" << json_string(hex_hash(r.schedule_hash))
             << ",\"events\":" << r.events_processed << ",\"tasks\":[";
         bool first = true;
         for (const Task& t : system.tasks()) {
           const TaskLatency& latency = r.per_task[t.id.index()];
           if (!first) out << ",";
           first = false;
-          out << "{\"task\":" << json_str(t.name)
+          out << "{\"task\":" << json_string(t.name)
               << ",\"instances\":" << latency.instances
               << ",\"mean_eer\":" << fmt_shortest(latency.eer.mean())
               << ",\"p_miss\":" << fmt_shortest(latency.miss_probability()) << "}";
@@ -252,13 +230,13 @@ int run_sweep(const ScenarioSpec& spec, std::ostream& out) {
         out << "{\"subtasks\":" << spec.grid[i].subtasks_per_task
             << ",\"utilization\":" << spec.grid[i].utilization_percent
             << ",\"systems\":" << results[i].systems << ",\"schedule_hash\":"
-            << json_str(hex_hash(results[i].schedule_hash))
+            << json_string(hex_hash(results[i].schedule_hash))
             << ",\"events\":" << results[i].events_processed << ",\"metrics\":[";
         bool first = true;
         for (const Metric& m : metrics(results[i])) {
           if (!first) out << ",";
           first = false;
-          out << "{\"name\":" << json_str(m.name)
+          out << "{\"name\":" << json_string(m.name)
               << ",\"mean\":" << fmt_shortest(m.mean)
               << ",\"samples\":" << m.samples << "}";
         }
@@ -332,8 +310,8 @@ int run_faults(const ScenarioSpec& spec, std::ostream& out) {
   for (const FaultCell& cell : result.cells) {
     if (!first) out << ",";
     first = false;
-    out << "{\"severity\":" << json_str(cell.severity)
-        << ",\"protocol\":" << json_str(std::string{to_string(cell.kind)})
+    out << "{\"severity\":" << json_string(cell.severity)
+        << ",\"protocol\":" << json_string(std::string{to_string(cell.kind)})
         << ",\"viol_per_1k\":" << fmt_shortest(1000.0 * cell.violation_rate())
         << ",\"miss_per_1k\":" << fmt_shortest(1000.0 * cell.miss_rate())
         << ",\"dropped\":" << cell.dropped_signals
@@ -347,7 +325,7 @@ int run_faults(const ScenarioSpec& spec, std::ostream& out) {
           << ",\"sync_failures\":" << cell.precision.failures
           << ",\"holdover_ticks\":" << cell.precision.holdover_time;
     }
-    out << ",\"schedule_hash\":" << json_str(hex_hash(cell.schedule_hash)) << "}";
+    out << ",\"schedule_hash\":" << json_string(hex_hash(cell.schedule_hash)) << "}";
   }
   out << "]}\n";
   return 0;

@@ -1,9 +1,10 @@
 // Property tests for the analysis fast path: across 200 generated
 // systems (N cycling 2..6, U cycling 50..80%), the inlined
-// structure-of-arrays demand kernels, signature-exact scratch reuse and
-// monotone warm starts must produce AnalysisResults identical -- exact
-// Time equality, bound for bound -- to the legacy std::function
-// cold-start path they replaced.
+// structure-of-arrays demand kernels, signature-exact scratch reuse,
+// monotone warm starts and incremental in-place IEERT sweeps must
+// produce AnalysisResults identical -- exact Time equality, bound for
+// bound -- to the plain-formulation reference analyses
+// (tests/support/reference_analysis).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -12,11 +13,15 @@
 #include "core/analysis/fixpoint.h"
 #include "core/analysis/sa_ds.h"
 #include "core/analysis/sa_pm.h"
+#include "tests/support/reference_analysis.h"
 #include "workload/generator.h"
 #include "workload/scaling.h"
 
 namespace e2e {
 namespace {
+
+using test_support::reference_sa_ds;
+using test_support::reference_sa_pm;
 
 constexpr int kSystems = 200;
 
@@ -44,19 +49,18 @@ void expect_identical(const TaskSystem& system, const AnalysisResult& want,
   }
 }
 
-TEST(DemandKernel, SaPmInlinedAndSignatureReuseMatchLegacy) {
+TEST(DemandKernel, SaPmInlinedAndSignatureReuseMatchReference) {
   for (int i = 0; i < kSystems; ++i) {
     const TaskSystem system = system_for(i);
     const InterferenceMap interference{system};
-    const AnalysisResult legacy =
-        analyze_sa_pm(system, interference, {.legacy_demand_path = true});
+    const AnalysisResult reference = reference_sa_pm(system);
     AnalysisScratch scratch;
     const AnalysisResult fast = analyze_sa_pm(system, interference, {}, &scratch);
-    expect_identical(system, legacy, fast, "inlined kernel", i);
+    expect_identical(system, reference, fast, "inlined kernel", i);
     // Re-analyzing the unchanged system hits the signature-exact reuse
     // path: every bound is copied from the scratch, never re-solved.
     const AnalysisResult reused = analyze_sa_pm(system, interference, {}, &scratch);
-    expect_identical(system, legacy, reused, "signature reuse", i);
+    expect_identical(system, reference, reused, "signature reuse", i);
   }
 }
 
@@ -76,15 +80,15 @@ TEST(DemandKernel, SaPmMonotoneWarmStartMatchesColdStart) {
   }
 }
 
-TEST(DemandKernel, SaDsInlinedMatchesLegacy) {
-  for (int i = 0; i < kSystems; i += 4) {
+TEST(DemandKernel, SaDsSweepsMatchReferenceJacobi) {
+  for (int i = 0; i < kSystems; ++i) {
     const TaskSystem system = system_for(i);
-    const InterferenceMap interference{system};
-    const SaDsResult legacy =
-        analyze_sa_ds(system, interference, {.legacy_demand_path = true});
-    const SaDsResult fast = analyze_sa_ds(system, interference, {});
-    ASSERT_EQ(legacy.converged, fast.converged) << "system " << i;
-    expect_identical(system, legacy.analysis, fast.analysis, "SA/DS inlined", i);
+    const SaDsResult reference = reference_sa_ds(system);
+    const SaDsResult fast = analyze_sa_ds(system, InterferenceMap{system}, {});
+    ASSERT_EQ(reference.converged, fast.converged) << "system " << i;
+    expect_identical(system, reference.analysis, fast.analysis, "SA/DS sweeps", i);
+    // Gauss-Seidel sweeps never need more passes than Jacobi ones.
+    EXPECT_LE(fast.passes, reference.passes) << "system " << i;
   }
 }
 
@@ -109,7 +113,7 @@ TEST(DemandKernel, SaDsMonotoneWarmStartMatchesColdStart) {
 // exactly two evaluations (the seed probe and the fixpoint check).
 TEST(DemandKernel, SolveFixpointEvaluatesSeedOnce) {
   int calls = 0;
-  const DemandFn demand = [&calls](Time) {
+  const auto demand = [&calls](Time) {
     ++calls;
     return Duration{3};
   };

@@ -5,10 +5,13 @@
 #include "core/analysis/ieert.h"
 #include "core/analysis/sa_ds.h"
 #include "core/analysis/sa_pm.h"
+#include "tests/support/reference_analysis.h"
 #include "workload/generator.h"
 
 namespace e2e {
 namespace {
+
+using test_support::reference_ieert_pass;
 
 struct Params {
   std::uint64_t seed;
@@ -87,8 +90,8 @@ TEST_P(AnalysisProperty, SaDsIsAFixpoint) {
   for (const Task& t : sys.tasks()) {
     max_cutoff = std::max(max_cutoff, 300 * t.period);
   }
-  const SubtaskTable again = ieert_pass(sys, interference, ds.analysis.subtask_bounds,
-                                        {.cap = 2 * max_cutoff});
+  const SubtaskTable again =
+      reference_ieert_pass(sys, ds.analysis.subtask_bounds, {.cap = 2 * max_cutoff});
   for (const Task& t : sys.tasks()) {
     for (const Subtask& s : t.subtasks) {
       const Duration before = ds.analysis.subtask_bounds.at(s.ref);
@@ -96,6 +99,25 @@ TEST_P(AnalysisProperty, SaDsIsAFixpoint) {
       EXPECT_EQ(again.at(s.ref), before) << t.name << " index " << s.ref.index;
     }
   }
+}
+
+TEST_P(AnalysisProperty, SweepOnConvergedTableIsOneReferencePass) {
+  const TaskSystem sys = make_system();
+  const InterferenceMap interference{sys};
+  const SaDsResult ds = analyze_sa_ds(sys, interference, {});
+  if (!ds.converged) GTEST_SKIP();
+  // One more sweep of the shared SA/DS loop, recomputing every entry,
+  // changes nothing (infinite entries included) ...
+  const IeertOptions options = sa_ds_ieert_options(sys, {});
+  SubtaskTable table = ds.analysis.subtask_bounds;
+  IeertIncrementalState state;
+  shape_ieert_deps(sys, interference, state);
+  const SaDsSweeps run = sweep_sa_ds_to_fixpoint(sys, interference, table, options, 1, state);
+  EXPECT_TRUE(run.converged);
+  EXPECT_EQ(run.passes, 1);
+  EXPECT_EQ(table, ds.analysis.subtask_bounds);
+  // ... and equals one Jacobi pass of the independent formulation.
+  EXPECT_EQ(reference_ieert_pass(sys, ds.analysis.subtask_bounds, options), table);
 }
 
 TEST_P(AnalysisProperty, IeertOperatorIsMonotone) {
@@ -113,12 +135,22 @@ TEST_P(AnalysisProperty, IeertOperatorIsMonotone) {
     }
   }
   const Time cap = 1'000'000'000;
-  const SubtaskTable low_out = ieert_pass(sys, interference, low, {.cap = cap});
-  const SubtaskTable high_out = ieert_pass(sys, interference, high, {.cap = cap});
+  const SubtaskTable low_out = reference_ieert_pass(sys, low, {.cap = cap});
+  const SubtaskTable high_out = reference_ieert_pass(sys, high, {.cap = cap});
+  // The production in-place sweep is monotone as well.
+  for (SubtaskTable* table : {&low, &high}) {
+    IeertIncrementalState state;
+    shape_ieert_deps(sys, interference, state);
+    (void)ieert_sweep(sys, interference, *table, {.cap = cap}, state);
+  }
   for (const Task& t : sys.tasks()) {
     for (const Subtask& s : t.subtasks) {
-      if (is_infinite(low_out.at(s.ref)) || is_infinite(high_out.at(s.ref))) continue;
-      EXPECT_LE(low_out.at(s.ref), high_out.at(s.ref));
+      if (!is_infinite(low_out.at(s.ref)) && !is_infinite(high_out.at(s.ref))) {
+        EXPECT_LE(low_out.at(s.ref), high_out.at(s.ref));
+      }
+      if (!is_infinite(low.at(s.ref)) && !is_infinite(high.at(s.ref))) {
+        EXPECT_LE(low.at(s.ref), high.at(s.ref));
+      }
     }
   }
 }

@@ -43,7 +43,7 @@ TEST(ScenarioExecutor, ForkStreamsAdvancesMaster) {
 TEST(ScenarioExecutor, MapReturnsIndexOrder) {
   ScenarioExecutor executor{4};
   const std::vector<std::int64_t> values = executor.map<std::int64_t>(
-      100, [](std::int64_t i, std::optional<Engine>&) { return i * i; });
+      100, [](std::int64_t i, ScenarioExecutor::WorkerSlot&) { return i * i; });
   ASSERT_EQ(values.size(), 100u);
   for (std::int64_t i = 0; i < 100; ++i) {
     EXPECT_EQ(values[static_cast<std::size_t>(i)], i * i);
@@ -55,7 +55,7 @@ TEST(ScenarioExecutor, ResultsIdenticalAcrossThreadCounts) {
     ScenarioExecutor executor{threads};
     const std::vector<Rng> streams = ScenarioExecutor::fork_streams(42, 64);
     const std::vector<std::uint64_t> values = executor.map<std::uint64_t>(
-        64, [&](std::int64_t i, std::optional<Engine>&) {
+        64, [&](std::int64_t i, ScenarioExecutor::WorkerSlot&) {
           Rng rng = streams[static_cast<std::size_t>(i)];
           std::uint64_t acc = 0;
           for (int draw = 0; draw < 16; ++draw) acc ^= rng.next_u64();
@@ -75,15 +75,15 @@ TEST(ScenarioExecutor, EngineSlotsPersistAcrossCalls) {
   const TaskSystem system = paper::example2();
   const auto protocol = make_protocol(ProtocolKind::kReleaseGuard, system);
 
-  executor.for_each(1, [&](std::int64_t, std::optional<Engine>& engine) {
-    EXPECT_FALSE(engine.has_value());
-    engine.emplace(system, *protocol,
-                   EngineOptions{.horizon = system.default_horizon()});
-    engine->run();
+  executor.for_each(1, [&](std::int64_t, ScenarioExecutor::WorkerSlot& slot) {
+    EXPECT_FALSE(slot.engine.has_value());
+    slot.engine.emplace(system, *protocol,
+                        EngineOptions{.horizon = system.default_horizon()});
+    slot.engine->run();
   });
-  executor.for_each(1, [&](std::int64_t, std::optional<Engine>& engine) {
-    ASSERT_TRUE(engine.has_value());
-    EXPECT_GT(engine->stats().events_processed, 0);
+  executor.for_each(1, [&](std::int64_t, ScenarioExecutor::WorkerSlot& slot) {
+    ASSERT_TRUE(slot.engine.has_value());
+    EXPECT_GT(slot.engine->stats().events_processed, 0);
   });
 }
 

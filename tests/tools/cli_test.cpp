@@ -457,6 +457,20 @@ TEST(Cli, AdmitJsonReportCarriesCulpritDetail) {
   EXPECT_NE(r.out.find("\"result_hash\""), std::string::npos);
 }
 
+TEST(Cli, AdmitJsonReportEscapesControlBytes) {
+  // Names are free-form tokens; JSON forbids raw bytes below 0x20.
+  const CliResult r = run_cli({"admit", "--processors=2", "--report=json"},
+                              "remove name=z\x1bq\n"
+                              "admit name=a\x01" "b period=100 sub=0:10:0\n");
+  EXPECT_NE(r.out.find("z\\u001bq"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("a\\u0001b"), std::string::npos) << r.out;
+  for (const char c : r.out) {
+    if (c != '\n') {
+      ASSERT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte in " << r.out;
+    }
+  }
+}
+
 TEST(Cli, AdmitRejectsUnknownFlag) {
   const CliResult r = run_cli({"admit", "--plocy=ds"});
   EXPECT_NE(r.exit_code, 0);
