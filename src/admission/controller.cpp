@@ -45,6 +45,35 @@ std::string format_bound(Duration bound) {
   return is_infinite(bound) ? "unbounded" : std::to_string(bound);
 }
 
+/// The bound message of a failed trial: `summary` is
+/// "task '<name>' eer <E> > deadline <D>", `detail` the suffix naming the
+/// decisive subtask, its processor and its bound.
+struct CulpritText {
+  std::string summary;
+  std::string detail;
+};
+
+/// Fills the culprit_* fields of `outcome` from a failed trial whose
+/// failing task is `culprit`, and formats its bound message.
+CulpritText record_culprit(Outcome& outcome, const TrialFailure& failure,
+                           const TaskSpec& culprit) {
+  const std::size_t j = decisive_subtask(failure.subtask_bounds);
+  outcome.culprit_task = culprit.name;
+  outcome.culprit_is_candidate = failure.is_candidate;
+  outcome.culprit_subtask = static_cast<int>(j);
+  outcome.culprit_processor =
+      j < culprit.subtasks.size() ? culprit.subtasks[j].processor : -1;
+  outcome.culprit_bound =
+      j < failure.subtask_bounds.size() ? failure.subtask_bounds[j] : kTimeInfinity;
+  outcome.culprit_eer = failure.eer;
+  outcome.culprit_deadline = failure.deadline;
+  return {.summary = "task '" + culprit.name + "' eer " + format_bound(failure.eer) +
+                     " > deadline " + std::to_string(failure.deadline),
+          .detail = " (subtask " + std::to_string(j) + " on processor " +
+                    std::to_string(outcome.culprit_processor) + ", bound " +
+                    format_bound(outcome.culprit_bound) + ")"};
+}
+
 }  // namespace
 
 const char* to_string(ReasonCode reason) noexcept {
@@ -218,27 +247,12 @@ Outcome AdmissionController::batch_commit() {
   }
 
   const TrialFailure& failure = *verdict.failure;
-  const TaskSpec& culprit =
-      failure.is_candidate ? batch[failure.slot - first_slot]
-                           : state_.spec(failure.slot);
-  const std::size_t j = decisive_subtask(failure.subtask_bounds);
   outcome.reason = ReasonCode::kBoundFailure;
-  outcome.culprit_task = culprit.name;
-  outcome.culprit_is_candidate = failure.is_candidate;
-  outcome.culprit_subtask = static_cast<int>(j);
-  outcome.culprit_processor =
-      j < culprit.subtasks.size() ? culprit.subtasks[j].processor : -1;
-  outcome.culprit_bound =
-      j < failure.subtask_bounds.size() ? failure.subtask_bounds[j] : kTimeInfinity;
-  outcome.culprit_eer = failure.eer;
-  outcome.culprit_deadline = failure.deadline;
-  outcome.message = "rejected batch of " + std::to_string(batch.size()) +
-                    ": task '" + culprit.name + "' eer " +
-                    format_bound(failure.eer) + " > deadline " +
-                    std::to_string(failure.deadline) + " (subtask " +
-                    std::to_string(j) + " on processor " +
-                    std::to_string(outcome.culprit_processor) + ", bound " +
-                    format_bound(outcome.culprit_bound) + ")";
+  const CulpritText text = record_culprit(
+      outcome, failure,
+      failure.is_candidate ? batch[failure.slot - first_slot] : state_.spec(failure.slot));
+  outcome.message = "rejected batch of " + std::to_string(batch.size()) + ": " +
+                    text.summary + text.detail;
   fold_outcome(outcome);
   return outcome;
 }
@@ -272,26 +286,11 @@ Outcome AdmissionController::admit_checked(TaskSpec&& spec) {
   }
 
   const TrialFailure& failure = *verdict.failure;
-  const TaskSpec& culprit =
-      failure.is_candidate ? spec : state_.spec(failure.slot);
-  const std::size_t j = decisive_subtask(failure.subtask_bounds);
   outcome.reason = ReasonCode::kBoundFailure;
-  outcome.culprit_task = culprit.name;
-  outcome.culprit_is_candidate = failure.is_candidate;
-  outcome.culprit_subtask = static_cast<int>(j);
-  outcome.culprit_processor =
-      j < culprit.subtasks.size() ? culprit.subtasks[j].processor : -1;
-  outcome.culprit_bound =
-      j < failure.subtask_bounds.size() ? failure.subtask_bounds[j] : kTimeInfinity;
-  outcome.culprit_eer = failure.eer;
-  outcome.culprit_deadline = failure.deadline;
+  const CulpritText text = record_culprit(
+      outcome, failure, failure.is_candidate ? spec : state_.spec(failure.slot));
   outcome.live_tasks = state_.task_count();
-  outcome.message = "rejected '" + spec.name + "': task '" + culprit.name +
-                    "' eer " + format_bound(failure.eer) + " > deadline " +
-                    std::to_string(failure.deadline) + " (subtask " +
-                    std::to_string(j) + " on processor " +
-                    std::to_string(outcome.culprit_processor) + ", bound " +
-                    format_bound(outcome.culprit_bound) + ")";
+  outcome.message = "rejected '" + spec.name + "': " + text.summary + text.detail;
   (void)decision_cache_.insert(key, std::make_shared<const Outcome>(outcome));
   fold_outcome(outcome);
   return outcome;
@@ -330,19 +329,8 @@ Outcome AdmissionController::remove(const std::string& name) {
     // is 300 x the max live period, so removing the longest-period task
     // tightens every fixpoint cap.
     const TrialFailure& failure = *verdict.failure;
-    const TaskSpec& culprit = state_.spec(failure.slot);
-    const std::size_t j = decisive_subtask(failure.subtask_bounds);
-    outcome.culprit_task = culprit.name;
-    outcome.culprit_subtask = static_cast<int>(j);
-    outcome.culprit_processor =
-        j < culprit.subtasks.size() ? culprit.subtasks[j].processor : -1;
-    outcome.culprit_bound =
-        j < failure.subtask_bounds.size() ? failure.subtask_bounds[j] : kTimeInfinity;
-    outcome.culprit_eer = failure.eer;
-    outcome.culprit_deadline = failure.deadline;
-    outcome.message = "removed '" + name + "'; remaining system unschedulable: task '" +
-                      culprit.name + "' eer " + format_bound(failure.eer) +
-                      " > deadline " + std::to_string(failure.deadline);
+    outcome.message = "removed '" + name + "'; remaining system unschedulable: " +
+                      record_culprit(outcome, failure, state_.spec(failure.slot)).summary;
   }
   fold_outcome(outcome);
   return outcome;

@@ -10,29 +10,32 @@
 //
 //  * one TaskSystem, grown/shrunk in place through the sanctioned
 //    append_task/remove_task mutators (builder-identical layout);
-//  * one InterferenceMap, delta-patched via apply_admit/apply_remove
-//    with revert_admit tokens for rejected trials (bit-identical to
-//    fresh construction -- the property tests pin content_hash());
+//  * one InterferenceMap, delta-patched via apply_admit/apply_remove;
+//    a rejected trial reverts by removing its appended tasks, last
+//    first (bit-identical to fresh construction -- the property tests
+//    pin content_hash()). The map also supplies the IEERT dependency
+//    edges (an entry reads its own and each interferer's predecessor),
+//    so no separate dependency lists are kept;
 //  * the committed converged SubtaskTable plus per-subtask fixpoint
-//    warm seeds and the IEERT dependency lists, all delta-maintained
-//    and swept IN PLACE by ieert_sweep (no per-pass table copy).
+//    warm seeds, delta-maintained and swept IN PLACE by ieert_sweep (no
+//    per-pass table copy).
 //
 // Per-request seeding:
 //
 //  * admit (single or batch): demand only grows, so every old entry
 //    under-approximates the new fixpoint. Survivors keep their values
 //    and warm seeds; entries whose demand equation changed -- the
-//    candidates' own and every resident on a processor a candidate
-//    occupies (interference sets AND non-preemptive blocking terms live
-//    there) -- are force-flagged, and the dependency tracking
-//    propagates any growth transitively. The sweep journals pre-trial
+//    candidates' own, and every resident whose interference set a
+//    candidate subtask joins or whose blocking term a non-preemptible
+//    candidate subtask may set -- are force-flagged, and the dependency
+//    tracking propagates any growth transitively. The sweep journals pre-trial
 //    values first-touch, so a rejected trial rolls back byte-for-byte.
 //
 //  * remove: demand shrinks, so old values OVER-approximate and must
 //    not seed the affected entries. The engine resets exactly the dirty
 //    cone -- the closure, under reverse IEERT dependencies, of the
-//    entries on the departed task's processors -- to the optimistic
-//    init with cold fixpoints; entries outside the cone provably keep
+//    entries whose equation depended on a departed subtask -- to the
+//    optimistic init with cold fixpoints; entries outside the cone provably keep
 //    their exact old fixpoint values (no input of theirs changes).
 //
 //  * a divergence-cap change (2 x 300 x the max live period, so it
@@ -45,12 +48,11 @@
 //    (its mid-iteration bytes are not a valid monotone seed).
 //
 // Commit semantics: an accepted admit and every remove commit the
-// table; a rejected admit restores the sweep journal, pops the
-// candidate rows, and reverts the interference/dependency deltas,
-// leaving the engine bit-identical to before the request.
+// table; a rejected admit restores the sweep journal and removes the
+// candidate rows from the system, table and interference map, leaving
+// the engine bit-identical to before the request.
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -89,6 +91,15 @@ Task task_from_spec(const TaskSpec& spec) {
   return t;
 }
 
+/// Whether adding or removing subtask `changed` alters the IEERT equation
+/// of `resident` on the same processor: `changed` is in its interference
+/// set (priority >= its own) or, being non-preemptible, may set its
+/// blocking term.
+bool equation_depends_on(const Subtask& changed, const Subtask& resident) {
+  return !changed.preemptible ||
+         higher_or_equal_priority(changed.priority, resident.priority);
+}
+
 class IncrementalDsEngine final : public Engine {
  public:
   explicit IncrementalDsEngine(bool refine)
@@ -107,42 +118,13 @@ class IncrementalDsEngine final : public Engine {
     const std::size_t old_tasks = system_->task_count();
     const std::size_t old_count = imap_.subtask_count();
 
-    // Flat -> ref for the residents, before growth (delta.appended flats
-    // are resident-only, so the old numbering is what we need).
-    std::vector<SubtaskRef> old_refs(old_count);
-    for (const Task& t : system_->tasks()) {
-      for (const Subtask& s : t.subtasks) old_refs[imap_.flat_index(s.ref)] = s.ref;
-    }
-
     // -- Grow every persistent structure by the whole batch. --
-    std::vector<InterferenceMap::AdmitDelta> imap_deltas;
-    std::vector<std::pair<std::size_t, std::uint32_t>> dep_pushes;
-    imap_deltas.reserve(specs.size());
     for (const TaskSpec& spec : specs) {
       system_->append_task(task_from_spec(spec));
-      imap_deltas.push_back(imap_.apply_admit(*system_));
-      // Residents that gained interferers gain their predecessors as
-      // dependencies. The new dep flats all index candidate subtasks
-      // (>= the resident's old dep entries), so plain push_back keeps
-      // the lists deduplicated and in fresh-construction order. Earlier
-      // batch members count as residents for later ones (flat >=
-      // old_count); skip them -- every candidate row gets a freshly
-      // built dep list below, after the whole batch is mapped.
-      for (const auto& [flat, appended] : imap_deltas.back().appended) {
-        if (flat >= old_count) continue;
-        const std::span<const Interferer> hp = imap_.of(old_refs[flat]);
-        std::uint32_t pushed = 0;
-        for (std::size_t k = hp.size() - appended; k < hp.size(); ++k) {
-          if (hp[k].ref.index <= 0) continue;
-          state_.deps[flat].push_back(static_cast<std::uint32_t>(
-              imap_.flat_index(SubtaskRef{hp[k].ref.task, hp[k].ref.index - 1})));
-          ++pushed;
-        }
-        if (pushed > 0) dep_pushes.emplace_back(flat, pushed);
-      }
+      imap_.apply_admit(*system_);
     }
     const std::size_t count = imap_.subtask_count();
-    shape_ieert_deps(*system_, imap_, state_, old_tasks);
+    state_.warm.resize(count);  // candidate seeds start cold
     for (std::size_t ti = old_tasks; ti < system_->task_count(); ++ti) {
       const Task& t = system_->tasks()[ti];
       table_.append_row(t.subtasks.size(), 0);
@@ -167,16 +149,17 @@ class IncrementalDsEngine final : public Engine {
     } else {
       state_.changed.assign(count, 0);  // arm the dependency dirty-skip
       state_.force.assign(count, 0);
-      // Equation-changed region: every subtask on a processor a
-      // candidate occupies (candidates included -- their processors are
-      // all touched). Interference sets and blocking terms there moved.
-      std::set<int> touched;
-      for (const TaskSpec& spec : specs) {
-        for (const SubtaskSpec& sub : spec.subtasks) touched.insert(sub.processor);
-      }
-      for (const int p : touched) {
-        for (const SubtaskRef ref : system_->subtasks_on(ProcessorId{p})) {
-          state_.force[imap_.flat_index(ref)] = 1;
+      // Equation-changed region: the candidates' own entries and every
+      // resident whose equation depends on a candidate subtask. All other
+      // equations, and so their converged values, are unchanged.
+      for (std::size_t ti = old_tasks; ti < system_->task_count(); ++ti) {
+        for (const Subtask& c : system_->tasks()[ti].subtasks) {
+          for (const SubtaskRef ref : system_->subtasks_on(c.processor)) {
+            if (ref.task.index() >= old_tasks ||
+                equation_depends_on(c, system_->subtask(ref))) {
+              state_.force[imap_.flat_index(ref)] = 1;
+            }
+          }
         }
       }
       undo_.arm(count);
@@ -217,15 +200,9 @@ class IncrementalDsEngine final : public Engine {
     for (std::size_t k = specs.size(); k-- > 0;) {
       table_.remove_row(old_tasks + k);
       system_->remove_task(old_tasks + k);
+      imap_.apply_remove(old_tasks + k);
     }
     state_.warm.resize(old_count);
-    state_.deps.resize(old_count);
-    for (const auto& [flat, pushed] : dep_pushes) {
-      state_.deps[flat].resize(state_.deps[flat].size() - pushed);
-    }
-    for (auto it = imap_deltas.rbegin(); it != imap_deltas.rend(); ++it) {
-      imap_.revert_admit(*it);
-    }
     slots_.resize(old_tasks);
     refresh_outcomes(converged_);
     return {false, std::move(failure)};
@@ -239,12 +216,10 @@ class IncrementalDsEngine final : public Engine {
     const auto it = std::find(slots_.begin(), slots_.end(), slot);
     E2E_ASSERT(it != slots_.end(), "remove: slot not tracked");
     const auto idx = static_cast<std::size_t>(it - slots_.begin());
-    const Task& departing = system_->tasks()[idx];
-    std::set<int> touched;
-    for (const Subtask& s : departing.subtasks) touched.insert(s.processor.value());
+    const std::vector<Subtask> departed = system_->tasks()[idx].subtasks;
     const std::size_t base =
         imap_.flat_index(SubtaskRef{TaskId{static_cast<std::int32_t>(idx)}, 0});
-    const std::size_t len = departing.subtasks.size();
+    const std::size_t len = departed.size();
     const std::size_t old_count = imap_.subtask_count();
     const std::size_t count = old_count - len;
 
@@ -255,20 +230,6 @@ class IncrementalDsEngine final : public Engine {
     slots_.erase(it);
     state_.warm.erase(state_.warm.begin() + static_cast<std::ptrdiff_t>(base),
                       state_.warm.begin() + static_cast<std::ptrdiff_t>(base + len));
-    state_.deps.erase(state_.deps.begin() + static_cast<std::ptrdiff_t>(base),
-                      state_.deps.begin() + static_cast<std::ptrdiff_t>(base + len));
-    for (auto& list : state_.deps) {
-      // Drop the departed flats, shift the rest -- exactly the lists a
-      // fresh shape_ieert_deps over the shrunk system yields
-      // (value-level dedup and first-occurrence order are preserved).
-      std::size_t write = 0;
-      for (const std::uint32_t d : list) {
-        if (d >= base && d < base + len) continue;
-        list[write++] =
-            d >= base + len ? d - static_cast<std::uint32_t>(len) : d;
-      }
-      list.resize(write);
-    }
 
     const Time new_cap = divergence_cap();
     if (new_cap != cap_ || !converged_) {
@@ -276,32 +237,37 @@ class IncrementalDsEngine final : public Engine {
     } else {
       state_.changed.assign(count, 0);
       state_.force.assign(count, 0);
-      // Dirty cone: the entries on the touched processors (equations
-      // changed: interference sets shrank, blocking terms may have) ...
+      // Dirty cone: the entries whose equation depended on a departed
+      // subtask (interference sets shrank, blocking terms may have) ...
       std::vector<std::uint8_t> in_cone(count, 0);
       std::vector<std::uint32_t> queue;
-      for (const int p : touched) {
-        for (const SubtaskRef ref : system_->subtasks_on(ProcessorId{p})) {
+      for (const Subtask& d : departed) {
+        for (const SubtaskRef ref : system_->subtasks_on(d.processor)) {
           const auto flat = static_cast<std::uint32_t>(imap_.flat_index(ref));
-          if (in_cone[flat] != 0) continue;
+          if (in_cone[flat] != 0 || !equation_depends_on(d, system_->subtask(ref))) continue;
           in_cone[flat] = 1;
           queue.push_back(flat);
         }
       }
-      // ... closed under reverse IEERT dependencies. Outside the cone no
-      // input changes, so old values remain exact fixpoint entries.
-      std::vector<std::uint32_t> rdep_begin(count + 1, 0);
-      for (const auto& list : state_.deps) {
-        for (const std::uint32_t d : list) ++rdep_begin[d + 1];
-      }
-      for (std::size_t f = 0; f < count; ++f) rdep_begin[f + 1] += rdep_begin[f];
-      std::vector<std::uint32_t> rdep_flat(rdep_begin[count]);
-      std::vector<std::uint32_t> cursor(rdep_begin.begin(), rdep_begin.end() - 1);
-      for (std::size_t f = 0; f < count; ++f) {
-        for (const std::uint32_t d : state_.deps[f]) {
-          rdep_flat[cursor[d]++] = static_cast<std::uint32_t>(f);
+      // ... closed under reverse IEERT dependencies (read off the map
+      // as CSR reverse edges). Outside the cone no input changes, so old
+      // values remain exact fixpoint entries.
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;  // (input, dependent)
+      for (const Task& t : system_->tasks()) {
+        for (const Subtask& s : t.subtasks) {
+          const auto dependent = static_cast<std::uint32_t>(imap_.flat_index(s.ref));
+          (void)imap_.any_input_of(s.ref, [&](std::size_t input) {
+            edges.emplace_back(static_cast<std::uint32_t>(input), dependent);
+            return false;
+          });
         }
       }
+      std::vector<std::uint32_t> rdep_begin(count + 1, 0);
+      for (const auto& [input, dependent] : edges) ++rdep_begin[input + 1];
+      for (std::size_t f = 0; f < count; ++f) rdep_begin[f + 1] += rdep_begin[f];
+      std::vector<std::uint32_t> rdep_flat(edges.size());
+      std::vector<std::uint32_t> cursor(rdep_begin.begin(), rdep_begin.end() - 1);
+      for (const auto& [input, dependent] : edges) rdep_flat[cursor[input]++] = dependent;
       while (!queue.empty()) {
         const std::uint32_t flat = queue.back();
         queue.pop_back();
@@ -380,7 +346,6 @@ class IncrementalDsEngine final : public Engine {
     imap_ = InterferenceMap{*system_};
     table_ = SubtaskTable{*system_, 0};
     state_ = IeertIncrementalState{};
-    shape_ieert_deps(*system_, imap_, state_);
     for (std::size_t i = 0; i < specs.size(); ++i) {
       slots_.push_back(first_slot + static_cast<std::uint32_t>(i));
     }
@@ -486,7 +451,7 @@ class IncrementalDsEngine final : public Engine {
   std::vector<std::uint32_t> slots_;  ///< per task index, ascending
   InterferenceMap imap_;
   SubtaskTable table_;           ///< committed (converged) IEER bounds
-  IeertIncrementalState state_;  ///< persistent deps + warm seeds
+  IeertIncrementalState state_;  ///< persistent warm seeds
   std::vector<Duration> eers_;   ///< per task index
   Time cap_ = -1;        ///< divergence cap of the committed analysis; -1 = none
   bool converged_ = true;  ///< committed table reached a fixpoint

@@ -66,6 +66,23 @@ struct PlaneRef {
   }
 };
 
+/// Whether adding or removing one of `specs`' subtasks alters the SA/PM
+/// equation of `entry` on processor `p`: the subtask joins or leaves its
+/// hp set (level <= its own) or, being non-preemptible, may set its
+/// blocking term.
+bool equation_depends_on(std::span<const TaskSpec> specs, std::size_t p,
+                         const PmSub& entry) {
+  for (const TaskSpec& spec : specs) {
+    for (const SubtaskSpec& sub : spec.subtasks) {
+      if (static_cast<std::size_t>(sub.processor) == p &&
+          (!sub.preemptible || sub.priority_level <= entry.level)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 class IncrementalPmEngine final : public Engine {
  public:
   TrialVerdict admit(const SystemState& state, std::uint32_t slot,
@@ -111,6 +128,11 @@ class IncrementalPmEngine final : public Engine {
       if (touched[p] == 0) continue;
       for (const PlaneRef& ref : planes_[p]) {
         PmSub& entry = sub_of(ref);
+        // A resident equation no candidate enters keeps its signature.
+        if (!cap_changed && ref.slot < first_slot &&
+            !equation_depends_on(specs, p, entry)) {
+          continue;
+        }
         const ResponseEquation eq = equation_of(ref, entry, new_cap);
         const std::uint64_t sig = response_equation_signature(eq, hp_view());
         if (sig == entry.signature && entry.scratch.has) continue;
@@ -175,6 +197,7 @@ class IncrementalPmEngine final : public Engine {
       if (touched[p] == 0) continue;
       for (const PlaneRef& ref : planes_[p]) {
         PmSub& entry = sub_of(ref);
+        if (!cap_changed && !equation_depends_on({&spec, 1}, p, entry)) continue;
         const ResponseEquation eq = equation_of(ref, entry, new_cap);
         const std::uint64_t sig = response_equation_signature(eq, hp_view());
         if (sig == entry.signature && entry.scratch.has) continue;
@@ -221,8 +244,7 @@ class IncrementalPmEngine final : public Engine {
   /// offline analysis of the identical system.
   [[nodiscard]] Time cap_from_periods() const {
     const Duration max_period = period_counts_.rbegin()->first;
-    return static_cast<Time>(SaPmOptions{}.cap_period_multiplier *
-                             static_cast<double>(max_period));
+    return sat_scale(SaPmOptions{}.cap_period_multiplier, max_period);
   }
 
   /// Assembles the demand equation of `ref` against the *current* plane

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 #include <vector>
 
 #include "common/args.h"
@@ -41,6 +42,15 @@ std::int64_t parse_int(const std::string& key, const std::string& value) {
   return parsed;
 }
 
+/// parse_int for fields stored as int (processor ids, priority levels).
+int parse_int32(const std::string& key, const std::string& value) {
+  const std::int64_t parsed = parse_int(key, value);
+  if (parsed < std::numeric_limits<int>::min() || parsed > std::numeric_limits<int>::max()) {
+    throw InvalidArgument(key + " out of range, got '" + value + "'");
+  }
+  return static_cast<int>(parsed);
+}
+
 /// `proc:exec:prio[:np]`.
 SubtaskSpec parse_subtask(const std::string& value) {
   std::vector<std::string> parts;
@@ -58,9 +68,9 @@ SubtaskSpec parse_subtask(const std::string& value) {
     throw InvalidArgument("sub expects proc:exec:prio[:np], got '" + value + "'");
   }
   SubtaskSpec sub;
-  sub.processor = static_cast<int>(parse_int("sub processor", parts[0]));
+  sub.processor = parse_int32("sub processor", parts[0]);
   sub.execution_time = parse_int("sub execution time", parts[1]);
-  sub.priority_level = static_cast<int>(parse_int("sub priority", parts[2]));
+  sub.priority_level = parse_int32("sub priority", parts[2]);
   if (parts.size() == 4) {
     if (parts[3] != "np") {
       throw InvalidArgument("sub flag must be 'np', got '" + parts[3] + "'");

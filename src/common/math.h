@@ -45,6 +45,17 @@ namespace e2e {
   return out;
 }
 
+/// multiplier x value, truncated toward zero, saturating at
+/// kTimeInfinity. The analyses derive divergence caps and failure cutoffs
+/// as a multiple of a period; a bare static_cast of the product is
+/// undefined once it reaches 2^63 (and yields a negative cap on x86).
+/// Below 2^63 the result is exactly static_cast<Time>(multiplier * value).
+/// Requires multiplier >= 0, value >= 0.
+[[nodiscard]] inline Time sat_scale(double multiplier, std::int64_t value) noexcept {
+  const double product = multiplier * static_cast<double>(value);
+  return product < 0x1p63 ? static_cast<Time>(product) : kTimeInfinity;
+}
+
 /// Greatest common divisor; gcd(0, x) == x. Requires a, b >= 0.
 [[nodiscard]] std::int64_t gcd64(std::int64_t a, std::int64_t b) noexcept;
 

@@ -46,10 +46,10 @@ Duration bound_subtask_ieer(const TaskSystem& system, const InterferenceMap& int
                             const IeertOptions& options, std::vector<Duration>& hp_jitter,
                             IeertWarmEntry* warm) {
   const Task& task = system.task(subtask.ref.task);
-  const std::span<const Interferer> hp_aos = interference.of(subtask.ref);
-  hp_jitter.resize(hp_aos.size());
-  for (std::size_t k = 0; k < hp_aos.size(); ++k) {
-    hp_jitter[k] = release_jitter(system, hp_aos[k].ref, current, options);
+  const std::span<const SubtaskRef> hp_refs = interference.of(subtask.ref);
+  hp_jitter.resize(hp_refs.size());
+  for (std::size_t k = 0; k < hp_refs.size(); ++k) {
+    hp_jitter[k] = release_jitter(system, hp_refs[k], current, options);
     if (is_infinite(hp_jitter[k])) return kTimeInfinity;
   }
   const IeerEquation eq{
@@ -61,8 +61,7 @@ Duration bound_subtask_ieer(const TaskSystem& system, const InterferenceMap& int
       .own_accum = sat_add(current.predecessor_or_zero(subtask.ref), task.release_jitter),
       .blocking = blocking_term(system, subtask),
       .cutoff = options.failure_period_multiplier > 0.0
-                    ? static_cast<Duration>(options.failure_period_multiplier *
-                                            static_cast<double>(task.period))
+                    ? sat_scale(options.failure_period_multiplier, task.period)
                     : kTimeInfinity,
       .cap = options.cap};
   const InterferenceMap::SoaView hp = interference.soa_of(subtask.ref);
@@ -71,34 +70,10 @@ Duration bound_subtask_ieer(const TaskSystem& system, const InterferenceMap& int
 
 }  // namespace
 
-void shape_ieert_deps(const TaskSystem& system, const InterferenceMap& interference,
-                      IeertIncrementalState& state, std::size_t first_task) {
-  const std::size_t count = interference.subtask_count();
-  state.deps.resize(count);
-  state.warm.resize(count);
-  for (std::size_t ti = first_task; ti < system.task_count(); ++ti) {
-    for (const Subtask& s : system.tasks()[ti].subtasks) {
-      const std::span<const Interferer> hp = interference.of(s.ref);
-      std::vector<std::uint32_t>& deps = state.deps[interference.flat_index(s.ref)];
-      deps.clear();
-      deps.reserve(hp.size() + 1);
-      const auto push_predecessor = [&](SubtaskRef ref) {
-        if (ref.index <= 0) return;
-        const auto flat = static_cast<std::uint32_t>(
-            interference.flat_index(SubtaskRef{ref.task, ref.index - 1}));
-        if (std::find(deps.begin(), deps.end(), flat) == deps.end()) deps.push_back(flat);
-      };
-      push_predecessor(s.ref);
-      for (const Interferer& k : hp) push_predecessor(k.ref);
-    }
-  }
-}
-
 std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interference,
                         SubtaskTable& table, const IeertOptions& options,
                         IeertIncrementalState& state, IeertSweepUndo* undo) {
   const std::size_t count = interference.subtask_count();
-  E2E_ASSERT(state.deps.size() == count, "ieert_sweep: deps not maintained");
   E2E_ASSERT(state.warm.size() == count, "ieert_sweep: warm not sized");
   E2E_ASSERT(undo == nullptr || undo->seen.size() == count,
              "ieert_sweep: undo journal not armed");
@@ -107,20 +82,34 @@ std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interfe
   std::vector<std::uint8_t> sweep_changed(count, 0);
   std::vector<Duration> hp_jitter;
   std::size_t changed_count = 0;
+  // During an incremental sweep, state.changed also flags the entries
+  // changed earlier in this sweep, so it covers every change since any
+  // entry was last computed. An entry's member inputs are predecessors
+  // of subtasks on its own processor: the processor turns hot when one
+  // of those changes, and only entries on hot processors scan members.
+  std::vector<std::uint8_t> hot(system.processor_count(), 0);
+  const auto heat = [&](const Task& t, const Subtask& s) {
+    const auto next = static_cast<std::size_t>(s.ref.index) + 1;
+    if (next < t.subtasks.size()) hot[t.subtasks[next].processor.index()] = 1;
+  };
+  if (incremental) {
+    for (const Task& t : system.tasks()) {
+      for (const Subtask& s : t.subtasks) {
+        if (state.changed[interference.flat_index(s.ref)] != 0) heat(t, s);
+      }
+    }
+  }
   for (const Task& t : system.tasks()) {
     for (const Subtask& s : t.subtasks) {
       const std::size_t flat = interference.flat_index(s.ref);
       bool stale = true;
       if (incremental) {
         // Stale iff the caller forced it (equation changed under its
-        // feet) or an input changed since this entry was last computed:
-        // either during the previous sweep or earlier in this one.
-        stale = !state.force.empty() && state.force[flat] != 0;
-        for (std::size_t d_idx = 0; !stale && d_idx < state.deps[flat].size();
-             ++d_idx) {
-          const std::uint32_t d = state.deps[flat][d_idx];
-          if (state.changed[d] != 0 || sweep_changed[d] != 0) stale = true;
-        }
+        // feet) or an input changed since this entry was last computed.
+        const auto changed = [&](std::size_t input) { return state.changed[input] != 0; };
+        stale = (!state.force.empty() && state.force[flat] != 0) ||
+                (hot[s.processor.index()] != 0 ? interference.any_input_of(s.ref, changed)
+                                               : s.ref.index > 0 && changed(flat - 1));
       }
       if (!stale) continue;  // recomputing would reproduce the entry exactly
       if (undo != nullptr && undo->seen[flat] == 0) {
@@ -136,6 +125,10 @@ std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interfe
                                                 hp_jitter, &state.warm[flat]);
       if (bound != table.at(s.ref)) {
         sweep_changed[flat] = 1;
+        if (incremental) {
+          state.changed[flat] = 1;
+          heat(t, s);
+        }
         ++changed_count;
         table.set(s.ref, bound);
       }

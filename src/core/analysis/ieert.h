@@ -60,15 +60,13 @@ struct IeertWarmEntry {
 
 /// Dirty-tracking state for incremental IEERT iteration. A subtask's
 /// refined bound is a pure function of the table entries of its own
-/// predecessor and of each interferer's predecessor (the jitter terms);
-/// everything else in its equation is static. When none of those inputs
-/// changed since the entry was last computed, recomputing it would
-/// reproduce it exactly, so the sweep skips it. Converging iterations
-/// stabilize most entries early, making the final sweeps nearly free.
+/// predecessor and of each interferer's predecessor (the jitter terms,
+/// read off the map by InterferenceMap::any_input_of); everything else
+/// in its equation is static. When none of those inputs changed since
+/// the entry was last computed, recomputing it would reproduce it
+/// exactly, so the sweep skips it. Converging iterations stabilize most entries early, making
+/// the final sweeps nearly free.
 struct IeertIncrementalState {
-  /// Per flat subtask index: flat indices of its table inputs (shaped by
-  /// shape_ieert_deps, fixed per system).
-  std::vector<std::vector<std::uint32_t>> deps;
   /// Which entries changed in the last current -> next transition; empty
   /// means "first pass, recompute everything".
   std::vector<std::uint8_t> changed;
@@ -82,21 +80,11 @@ struct IeertIncrementalState {
   /// like the table; cleared by the sweep that consumes it.
   std::vector<std::uint8_t> force;
   /// Per flat subtask index: fixpoint seeds from the last recomputation.
-  /// Pre-seeded entries (sized to the table before the first pass) are
-  /// honored; they must under-approximate the fixpoints being solved.
+  /// Callers size it to the system's subtask count (new entries start
+  /// cold). Pre-seeded entries are honored; they must under-approximate
+  /// the fixpoints being solved.
   std::vector<IeertWarmEntry> warm;
 };
-
-/// Sizes `state.deps` and `state.warm` to the system's subtask count
-/// and rebuilds the dependency list of every subtask of tasks
-/// `first_task` onwards: the flat indices of the table entries its IEERT
-/// equation reads -- its own predecessor plus each interferer's
-/// predecessor (the jitter terms) -- deduplicated, first occurrence
-/// first. Existing warm seeds are kept; new ones start cold. The
-/// admission engine passes the first appended task to shape only the
-/// candidate rows and delta-maintains the residents' lists itself.
-void shape_ieert_deps(const TaskSystem& system, const InterferenceMap& interference,
-                      IeertIncrementalState& state, std::size_t first_task = 0);
 
 /// First-touch journal of one or more in-place ieert_sweep() calls:
 /// everything needed to restore the table and warm seeds of a rejected
@@ -134,9 +122,8 @@ struct IeertSweepUndo {
 /// least fixpoint as the paper's Jacobi passes, so the converged table
 /// is bit-identical; only the number of sweeps to reach it shrinks.
 ///
-/// `state.deps`/`state.warm` must be sized to the system (see
-/// shape_ieert_deps); `state.changed` empty means "recompute
-/// everything". With `undo`, pre-recomputation values and warm seeds are
+/// `state.warm` must be sized to the system's subtask count;
+/// `state.changed` empty means "recompute everything". With `undo`, pre-recomputation values and warm seeds are
 /// journaled (first touch only) for trial rollback.
 std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interference,
                         SubtaskTable& table, const IeertOptions& options,

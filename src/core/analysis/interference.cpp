@@ -2,212 +2,164 @@
 
 #include <algorithm>
 
-#include "common/error.h"
 #include "common/hash.h"
 
 namespace e2e {
 
 InterferenceMap::InterferenceMap(const TaskSystem& system) {
-  per_subtask_.resize(system.task_count());
   for (const Task& t : system.tasks()) {
-    per_subtask_[t.id.index()].resize(t.subtasks.size());
-    for (const Subtask& s : t.subtasks) {
-      auto& set = per_subtask_[t.id.index()][static_cast<std::size_t>(s.ref.index)];
-      for (const SubtaskRef other_ref : system.subtasks_on(s.processor)) {
-        if (other_ref == s.ref) continue;
-        const Subtask& other = system.subtask(other_ref);
-        if (!higher_or_equal_priority(other.priority, s.priority)) continue;
-        set.push_back(Interferer{
-            .ref = other_ref,
-            .period = system.task(other_ref.task).period,
-            .execution_time = other.execution_time,
-            .predecessor_index = other_ref.index - 1,
-            .task_release_jitter = system.task(other_ref.task).release_jitter,
-        });
-      }
-    }
+    for (const Subtask& s : t.subtasks) append_row(system, s);
+    task_base_.push_back(range_begin_.size() - 1);
   }
-  rebuild_mirror();
 }
 
-InterferenceMap::AdmitDelta InterferenceMap::apply_admit(const TaskSystem& system) {
-  E2E_ASSERT(system.task_count() == per_subtask_.size() + 1,
-             "apply_admit: system must have exactly one appended task");
-  AdmitDelta delta;
-  delta.old_tasks = per_subtask_.size();
-  delta.old_subtasks = subtask_count();
-  const Task& cand = system.tasks().back();
+void InterferenceMap::push_member(const TaskSystem& system, SubtaskRef member) {
+  const Task& task = system.task(member.task);
+  refs_.push_back(member);
+  periods_.push_back(task.period);
+  execs_.push_back(system.subtask(member).execution_time);
+  jitters_.push_back(task.release_jitter);
+}
 
-  // 1. Resident sets on the candidate's processors gain the candidate
+void InterferenceMap::append_row(const TaskSystem& system, const Subtask& subtask) {
+  for (const SubtaskRef other_ref : system.subtasks_on(subtask.processor)) {
+    if (other_ref == subtask.ref) continue;
+    if (!higher_or_equal_priority(system.subtask(other_ref).priority, subtask.priority)) {
+      continue;
+    }
+    push_member(system, other_ref);
+  }
+  range_begin_.push_back(refs_.size());
+}
+
+void InterferenceMap::apply_admit(const TaskSystem& system) {
+  const std::size_t old_tasks = task_base_.size() - 1;
+  E2E_ASSERT(system.task_count() == old_tasks + 1,
+             "apply_admit: system must have exactly one appended task");
+  const Task& cand = system.tasks().back();
+  const std::span<const Task> residents = system.tasks().first(old_tasks);
+
+  // Resident sets on the candidate's processors gain the candidate
   // subtasks that interfere with them -- appended at the END of each set,
   // in candidate chain order, exactly where a fresh subtasks_on(p) scan
   // (candidate refs last, builder layout) would have put them.
-  for (std::size_t cj = 0; cj < cand.subtasks.size(); ++cj) {
-    const ProcessorId proc = cand.subtasks[cj].processor;
-    // Handle each distinct processor once, at its first chain occurrence.
-    bool first_occurrence = true;
-    for (std::size_t prev = 0; prev < cj; ++prev) {
-      if (cand.subtasks[prev].processor == proc) {
-        first_occurrence = false;
-        break;
-      }
-    }
-    if (!first_occurrence) continue;
-    for (const SubtaskRef ref : system.subtasks_on(proc)) {
-      if (ref.task == cand.id) continue;  // candidate rows built below
-      const Subtask& s = system.subtask(ref);
-      auto& set = per_subtask_[ref.task.index()][static_cast<std::size_t>(ref.index)];
-      std::uint32_t appended = 0;
-      for (const Subtask& c : cand.subtasks) {
-        if (c.processor != proc) continue;
-        if (!higher_or_equal_priority(c.priority, s.priority)) continue;
-        set.push_back(Interferer{
-            .ref = c.ref,
-            .period = cand.period,
-            .execution_time = c.execution_time,
-            .predecessor_index = c.ref.index - 1,
-            .task_release_jitter = cand.release_jitter,
-        });
-        ++appended;
-      }
-      if (appended > 0) {
-        delta.appended.emplace_back(flat_index(ref), appended);
-      }
+  const auto interferes = [](const Subtask& c, const Subtask& s) {
+    return c.processor == s.processor && higher_or_equal_priority(c.priority, s.priority);
+  };
+  const auto gain = [&](const Subtask& s) {
+    return static_cast<std::size_t>(
+        std::count_if(cand.subtasks.begin(), cand.subtasks.end(),
+                      [&](const Subtask& c) { return interferes(c, s); }));
+  };
+  // Forward: shift every resident row's end by the growth up to it.
+  std::size_t shift = 0;
+  std::size_t row = 0;
+  for (const Task& t : residents) {
+    for (const Subtask& s : t.subtasks) {
+      shift += gain(s);
+      range_begin_[++row] += shift;
     }
   }
-
-  // 2. The candidate's own row, built with the constructor's scan (its
+  // Backward: move each block of rows between two growing rows up by its
+  // shift in one go, then write the growing row's new members.
+  const std::size_t old_size = refs_.size();
+  refs_.resize(old_size + shift);
+  periods_.resize(old_size + shift);
+  execs_.resize(old_size + shift);
+  jitters_.resize(old_size + shift);
+  std::size_t block_end = old_size;  // old end of the rows not yet moved
+  for (auto t = residents.rbegin(); t != residents.rend() && shift > 0; ++t) {
+    for (auto s = t->subtasks.rbegin(); s != t->subtasks.rend(); ++s, --row) {
+      const std::size_t g = gain(*s);
+      if (g == 0) continue;
+      const std::size_t new_end = range_begin_[row];
+      const std::size_t old_end = new_end - shift;
+      const auto move_up = [&](auto& v) {
+        std::move_backward(v.begin() + static_cast<std::ptrdiff_t>(old_end),
+                           v.begin() + static_cast<std::ptrdiff_t>(block_end),
+                           v.begin() + static_cast<std::ptrdiff_t>(block_end + shift));
+      };
+      move_up(refs_);
+      move_up(periods_);
+      move_up(execs_);
+      move_up(jitters_);
+      std::size_t at = new_end - g;
+      for (const Subtask& c : cand.subtasks) {
+        if (!interferes(c, *s)) continue;
+        refs_[at] = c.ref;
+        periods_[at] = cand.period;
+        execs_[at] = c.execution_time;
+        jitters_[at] = cand.release_jitter;
+        ++at;
+      }
+      shift -= g;
+      block_end = old_end;
+    }
+  }
+  // The candidate's own rows, built with the constructor's scan (its
   // interferers include residents AND earlier/later candidate subtasks
   // sharing a processor).
-  auto& rows = per_subtask_.emplace_back();
-  rows.resize(cand.subtasks.size());
-  for (const Subtask& s : cand.subtasks) {
-    auto& set = rows[static_cast<std::size_t>(s.ref.index)];
-    for (const SubtaskRef other_ref : system.subtasks_on(s.processor)) {
-      if (other_ref == s.ref) continue;
-      const Subtask& other = system.subtask(other_ref);
-      if (!higher_or_equal_priority(other.priority, s.priority)) continue;
-      set.push_back(Interferer{
-          .ref = other_ref,
-          .period = system.task(other_ref.task).period,
-          .execution_time = other.execution_time,
-          .predecessor_index = other_ref.index - 1,
-          .task_release_jitter = system.task(other_ref.task).release_jitter,
-      });
-    }
-  }
-
-  rebuild_mirror();
-  return delta;
-}
-
-void InterferenceMap::revert_admit(const AdmitDelta& delta) {
-  E2E_ASSERT(per_subtask_.size() == delta.old_tasks + 1,
-             "revert_admit: not the most recent admit");
-  per_subtask_.pop_back();
-  for (const auto& [flat, count] : delta.appended) {
-    // Old flat numbering is still valid for resident rows: task_base_'s
-    // first old_tasks entries are untouched by the append.
-    const auto it = std::prev(std::upper_bound(
-        task_base_.begin(), task_base_.begin() + static_cast<std::ptrdiff_t>(delta.old_tasks),
-        flat));
-    const auto task = static_cast<std::size_t>(it - task_base_.begin());
-    const std::size_t index = flat - *it;
-    auto& set = per_subtask_[task][index];
-    E2E_ASSERT(set.size() >= count, "revert_admit: set smaller than recorded append");
-    set.resize(set.size() - count);
-  }
-  rebuild_mirror();
+  for (const Subtask& s : cand.subtasks) append_row(system, s);
+  task_base_.push_back(range_begin_.size() - 1);
 }
 
 void InterferenceMap::apply_remove(std::size_t removed) {
-  E2E_ASSERT(removed < per_subtask_.size(), "apply_remove: task out of range");
+  E2E_ASSERT(removed + 1 < task_base_.size(), "apply_remove: task out of range");
   const auto removed_id = static_cast<std::int32_t>(removed);
-  per_subtask_.erase(per_subtask_.begin() + static_cast<std::ptrdiff_t>(removed));
-  for (auto& rows : per_subtask_) {
-    for (auto& set : rows) {
-      std::size_t write = 0;
-      for (Interferer& h : set) {
-        if (h.ref.task.value() == removed_id) continue;
-        if (h.ref.task.value() > removed_id) {
-          h.ref.task = TaskId{h.ref.task.value() - 1};
-        }
-        set[write++] = h;
-      }
-      set.resize(write);
-    }
-  }
-  rebuild_mirror();
-}
+  const std::size_t gone_begin = task_base_[removed];
+  const std::size_t gone_end = task_base_[removed + 1];
+  const std::size_t rows = range_begin_.size() - 1;
 
-void InterferenceMap::rebuild_mirror() {
-  task_base_.clear();
-  range_begin_.clear();
-  flat_periods_.clear();
-  flat_execs_.clear();
-  flat_jitters_.clear();
-  range_begin_.push_back(0);
-  std::size_t flat = 0;
-  for (const auto& rows : per_subtask_) {
-    task_base_.push_back(flat);
-    flat += rows.size();
-    for (const auto& set : rows) {
-      for (const Interferer& h : set) {
-        flat_periods_.push_back(h.period);
-        flat_execs_.push_back(h.execution_time);
-        flat_jitters_.push_back(h.task_release_jitter);
+  // One forward pass: every write lands at or before its read, so row f's
+  // bounds are read before any later row rewrites them.
+  std::size_t write = 0;
+  std::size_t row_write = 0;
+  std::size_t begin = range_begin_[0];
+  for (std::size_t f = 0; f < rows; ++f) {
+    const std::size_t end = range_begin_[f + 1];
+    if (f < gone_begin || f >= gone_end) {
+      for (std::size_t k = begin; k < end; ++k) {
+        SubtaskRef ref = refs_[k];
+        if (ref.task.value() == removed_id) continue;
+        if (ref.task.value() > removed_id) ref.task = TaskId{ref.task.value() - 1};
+        refs_[write] = ref;
+        periods_[write] = periods_[k];
+        execs_[write] = execs_[k];
+        jitters_[write] = jitters_[k];
+        ++write;
       }
-      range_begin_.push_back(flat_periods_.size());
+      range_begin_[++row_write] = write;
     }
+    begin = end;
+  }
+  range_begin_.resize(row_write + 1);
+  refs_.resize(write);
+  periods_.resize(write);
+  execs_.resize(write);
+  jitters_.resize(write);
+
+  task_base_.erase(task_base_.begin() + static_cast<std::ptrdiff_t>(removed) + 1);
+  for (std::size_t t = removed + 1; t < task_base_.size(); ++t) {
+    task_base_[t] -= gone_end - gone_begin;
   }
 }
 
 std::uint64_t InterferenceMap::content_hash() const noexcept {
-  std::uint64_t h = hash_combine(0, per_subtask_.size());
-  for (const auto& rows : per_subtask_) {
-    h = hash_combine(h, rows.size());
-    for (const auto& set : rows) {
-      h = hash_combine(h, set.size());
-      for (const Interferer& e : set) {
-        h = hash_combine(h, static_cast<std::uint64_t>(e.ref.task.value()));
-        h = hash_combine(h, static_cast<std::uint64_t>(e.ref.index));
-        h = hash_combine(h, static_cast<std::uint64_t>(e.period));
-        h = hash_combine(h, static_cast<std::uint64_t>(e.execution_time));
-        h = hash_combine(h, static_cast<std::uint64_t>(e.predecessor_index));
-        h = hash_combine(h, static_cast<std::uint64_t>(e.task_release_jitter));
+  std::uint64_t h = hash_combine(0, task_base_.size() - 1);
+  for (std::size_t t = 0; t + 1 < task_base_.size(); ++t) {
+    h = hash_combine(h, task_base_[t + 1] - task_base_[t]);
+    for (std::size_t f = task_base_[t]; f < task_base_[t + 1]; ++f) {
+      h = hash_combine(h, range_begin_[f + 1] - range_begin_[f]);
+      for (std::size_t k = range_begin_[f]; k < range_begin_[f + 1]; ++k) {
+        h = hash_combine(h, static_cast<std::uint64_t>(refs_[k].task.value()));
+        h = hash_combine(h, static_cast<std::uint64_t>(refs_[k].index));
+        h = hash_combine(h, static_cast<std::uint64_t>(periods_[k]));
+        h = hash_combine(h, static_cast<std::uint64_t>(execs_[k]));
+        h = hash_combine(h, static_cast<std::uint64_t>(jitters_[k]));
       }
     }
   }
   return h;
-}
-
-std::span<const Interferer> InterferenceMap::of(SubtaskRef ref) const {
-  E2E_ASSERT(ref.task.value() >= 0 && ref.task.index() < per_subtask_.size(),
-             "InterferenceMap: task out of range");
-  const auto& per_index = per_subtask_[ref.task.index()];
-  E2E_ASSERT(ref.index >= 0 && static_cast<std::size_t>(ref.index) < per_index.size(),
-             "InterferenceMap: subtask index out of range");
-  return per_index[static_cast<std::size_t>(ref.index)];
-}
-
-std::size_t InterferenceMap::flat_index(SubtaskRef ref) const {
-  E2E_ASSERT(ref.task.value() >= 0 && ref.task.index() < per_subtask_.size(),
-             "InterferenceMap: task out of range");
-  E2E_ASSERT(ref.index >= 0 && static_cast<std::size_t>(ref.index) <
-                                   per_subtask_[ref.task.index()].size(),
-             "InterferenceMap: subtask index out of range");
-  return task_base_[ref.task.index()] + static_cast<std::size_t>(ref.index);
-}
-
-InterferenceMap::SoaView InterferenceMap::soa_of(SubtaskRef ref) const {
-  const std::size_t f = flat_index(ref);
-  const std::size_t begin = range_begin_[f];
-  const std::size_t count = range_begin_[f + 1] - begin;
-  return SoaView{
-      .periods = std::span<const Duration>{flat_periods_}.subspan(begin, count),
-      .execs = std::span<const Duration>{flat_execs_}.subspan(begin, count),
-      .jitters = std::span<const Duration>{flat_jitters_}.subspan(begin, count),
-  };
 }
 
 }  // namespace e2e

@@ -9,9 +9,8 @@ namespace e2e {
 IeertOptions sa_ds_ieert_options(const TaskSystem& system, const SaDsOptions& options) {
   Duration max_cutoff = 0;
   for (const Task& t : system.tasks()) {
-    max_cutoff = std::max(
-        max_cutoff, static_cast<Duration>(options.failure_period_multiplier *
-                                          static_cast<double>(t.period)));
+    max_cutoff =
+        std::max(max_cutoff, sat_scale(options.failure_period_multiplier, t.period));
   }
   return IeertOptions{.cap = sat_mul(max_cutoff, 2),
                       .refine_jitter_with_best_case = options.refine_jitter_with_best_case,
@@ -73,7 +72,7 @@ SaDsResult analyze_sa_ds(const TaskSystem& system, const InterferenceMap& interf
   // recomputes every entry; later ones skip entries whose inputs did not
   // change (see ieert.h).
   IeertIncrementalState state;
-  shape_ieert_deps(system, interference, state);
+  state.warm.resize(interference.subtask_count());
   const SaDsSweeps run =
       sweep_sa_ds_to_fixpoint(system, interference, current,
                               sa_ds_ieert_options(system, options), options.max_passes,

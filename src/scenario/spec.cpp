@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -26,6 +27,15 @@ std::int64_t parse_int(int line, const std::string& key, const std::string& valu
     fail(line, "'" + key + "' expects an integer, got '" + value + "'");
   }
   return parsed;
+}
+
+/// parse_int for fields stored as int (counts, grid coordinates).
+int parse_int32(int line, const std::string& key, const std::string& value) {
+  const std::int64_t parsed = parse_int(line, key, value);
+  if (parsed < std::numeric_limits<int>::min() || parsed > std::numeric_limits<int>::max()) {
+    fail(line, "'" + key + "' out of range, got '" + value + "'");
+  }
+  return static_cast<int>(parsed);
 }
 
 /// Seeds span the full uint64 range, which strtoll would saturate.
@@ -242,7 +252,7 @@ ScenarioSpec parse_scenario(std::istream& in, const ScenarioDefaults& defaults) 
       has_seed = true;
     } else if (key == "systems" || key == "runs") {
       want(1);
-      spec.systems = static_cast<int>(parse_int(line_number, key, tokens[1]));
+      spec.systems = parse_int32(line_number, key, tokens[1]);
       has_systems = true;
     } else if (key == "horizon-periods") {
       want(1);
@@ -250,7 +260,7 @@ ScenarioSpec parse_scenario(std::istream& in, const ScenarioDefaults& defaults) 
       has_horizon = true;
     } else if (key == "threads") {
       want(1);
-      spec.threads = static_cast<int>(parse_int(line_number, key, tokens[1]));
+      spec.threads = parse_int32(line_number, key, tokens[1]);
     } else if (key == "exec-var") {
       want(1);
       spec.exec_var = parse_double(line_number, key, tokens[1]);
@@ -260,10 +270,8 @@ ScenarioSpec parse_scenario(std::istream& in, const ScenarioDefaults& defaults) 
     } else if (key == "config") {
       want(2);
       spec.grid.push_back(Configuration{
-          .subtasks_per_task =
-              static_cast<int>(parse_int(line_number, "config N", tokens[1])),
-          .utilization_percent =
-              static_cast<int>(parse_int(line_number, "config U", tokens[2]))});
+          .subtasks_per_task = parse_int32(line_number, "config N", tokens[1]),
+          .utilization_percent = parse_int32(line_number, "config U", tokens[2])});
     } else if (key == "severity") {
       want(2);
       try {
@@ -297,15 +305,13 @@ ScenarioSpec parse_scenario(std::istream& in, const ScenarioDefaults& defaults) 
         try {
           for (const auto& [k, v] : split_key_values(tokens[2])) {
             if (k == "subtasks") {
-              src.generate_subtasks = static_cast<int>(parse_int(line_number, k, v));
+              src.generate_subtasks = parse_int32(line_number, k, v);
             } else if (k == "utilization") {
-              src.generate_utilization =
-                  static_cast<int>(parse_int(line_number, k, v));
+              src.generate_utilization = parse_int32(line_number, k, v);
             } else if (k == "tasks") {
-              src.generate_tasks = static_cast<int>(parse_int(line_number, k, v));
+              src.generate_tasks = parse_int32(line_number, k, v);
             } else if (k == "processors") {
-              src.generate_processors =
-                  static_cast<int>(parse_int(line_number, k, v));
+              src.generate_processors = parse_int32(line_number, k, v);
             } else if (k == "seed") {
               src.generate_seed = parse_uint(line_number, k, v);
             } else if (k == "ticks") {

@@ -1,5 +1,6 @@
 #include "task/serialize.h"
 
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -22,6 +23,16 @@ std::int64_t parse_int(std::istringstream& line, int line_number, const char* wh
   std::int64_t value = 0;
   if (!(line >> value)) fail(line_number, std::string("expected integer ") + what);
   return value;
+}
+
+/// parse_int for fields stored as int32 (processor ids, priority levels).
+std::int32_t parse_int32(std::istringstream& line, int line_number, const char* what) {
+  const std::int64_t value = parse_int(line, line_number, what);
+  if (value < std::numeric_limits<std::int32_t>::min() ||
+      value > std::numeric_limits<std::int32_t>::max()) {
+    fail(line_number, std::string(what) + " out of range");
+  }
+  return static_cast<std::int32_t>(value);
 }
 
 /// Consumes the rest of the line (trimmed leading space) as a name.
@@ -95,16 +106,15 @@ TaskSystem read_system(std::istream& in) {
       }
     } else if (keyword == "sub") {
       if (!current_task.has_value()) fail(line_number, "'sub' before any 'task'");
-      const std::int64_t processor = parse_int(tokens, line_number, "processor id");
+      const std::int32_t processor = parse_int32(tokens, line_number, "processor id");
       const std::int64_t exec = parse_int(tokens, line_number, "execution time");
-      const std::int64_t priority = parse_int(tokens, line_number, "priority");
+      const std::int32_t priority = parse_int32(tokens, line_number, "priority");
       const std::int64_t preemptible = parse_int(tokens, line_number, "preemptible flag");
       if (preemptible != 0 && preemptible != 1) {
         fail(line_number, "preemptible flag must be 0 or 1");
       }
       try {
-        current_task->subtask(ProcessorId{static_cast<std::int32_t>(processor)}, exec,
-                              Priority{static_cast<std::int32_t>(priority)},
+        current_task->subtask(ProcessorId{processor}, exec, Priority{priority},
                               parse_name(tokens));
         if (preemptible == 0) current_task->non_preemptible();
       } catch (const InvalidArgument& e) {

@@ -166,5 +166,20 @@ TEST(RequestParse, MalformedSubtasksAreRejected) {
   }
 }
 
+TEST(RequestParse, OutOfIntRangeSubtaskFieldsAreRejected) {
+  // 2^32 would otherwise truncate to processor 0 / priority 0.
+  for (const auto& [line, key] : {
+           std::pair{"admit name=T1 period=10 sub=4294967296:1:0", "sub processor"},
+           std::pair{"admit name=T1 period=10 sub=0:1:-4294967296", "sub priority"},
+       }) {
+    const auto request = parse_request(line);
+    ASSERT_TRUE(request.has_value()) << line;
+    EXPECT_FALSE(request->ok()) << line;
+    EXPECT_NE(request->parse_error.find(std::string{key} + " out of range"),
+              std::string::npos)
+        << request->parse_error;
+  }
+}
+
 }  // namespace
 }  // namespace e2e::admission

@@ -23,6 +23,19 @@ TEST(SaDs, SingleSubtaskChainMatchesSaPm) {
   }
 }
 
+TEST(SaDs, HugePeriodSaturatesTheCutoffs) {
+  // 300 x period is past 2^63: the failure cutoff and divergence cap
+  // saturate at infinity rather than wrapping negative.
+  TaskSystemBuilder b{1};
+  b.add_task({.period = 4'000'000'000'000'000'000}).subtask(ProcessorId{0}, 1, Priority{0});
+  const TaskSystem sys = std::move(b).build();
+  EXPECT_EQ(sa_ds_ieert_options(sys, {}).cap, kTimeInfinity);
+  const SaDsResult ds = analyze_sa_ds(sys);
+  EXPECT_TRUE(ds.converged);
+  EXPECT_EQ(ds.analysis.eer_bound(TaskId{0}), 1);
+  EXPECT_TRUE(ds.analysis.system_schedulable());
+}
+
 TEST(SaDs, Example2Fixpoint) {
   // Exact fixpoint of Algorithm SA/DS on the paper's Example 2,
   // hand-iterated: IEER(T1)=2, IEER(T2,1)=4, IEER(T2,2)=7, IEER(T3)=8.

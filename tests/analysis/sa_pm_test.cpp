@@ -17,6 +17,16 @@ TEST(SaPm, SingleTaskAloneBoundEqualsExecution) {
   EXPECT_TRUE(r.system_schedulable());
 }
 
+TEST(SaPm, HugePeriodSaturatesTheCap) {
+  // 300 x period is past 2^63: the divergence cap saturates at infinity
+  // rather than wrapping negative and failing a trivially bounded task.
+  TaskSystemBuilder b{1};
+  b.add_task({.period = 4'000'000'000'000'000'000}).subtask(ProcessorId{0}, 1, Priority{0});
+  const AnalysisResult r = analyze_sa_pm(std::move(b).build());
+  EXPECT_EQ(r.eer_bound(TaskId{0}), 1);
+  EXPECT_TRUE(r.system_schedulable());
+}
+
 TEST(SaPm, Example2SubtaskBounds) {
   const TaskSystem sys = paper::example2();
   const AnalysisResult r = analyze_sa_pm(sys);

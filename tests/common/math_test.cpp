@@ -45,6 +45,19 @@ TEST(SatMul, OverflowSaturates) {
   EXPECT_EQ(sat_mul(1LL << 40, 1LL << 40), kTimeInfinity);
 }
 
+TEST(SatScale, MatchesTruncatingCastBelowTwoTo63) {
+  EXPECT_EQ(sat_scale(300.0, 1000), 300000);
+  EXPECT_EQ(sat_scale(1.5, 7), 10);  // truncates toward zero
+  EXPECT_EQ(sat_scale(0.0, kTimeInfinity), 0);
+  EXPECT_EQ(sat_scale(1.0, std::int64_t{1} << 62), std::int64_t{1} << 62);
+}
+
+TEST(SatScale, SaturatesFromTwoTo63) {
+  EXPECT_EQ(sat_scale(300.0, 4'000'000'000'000'000'000), kTimeInfinity);
+  EXPECT_EQ(sat_scale(2.0, std::int64_t{1} << 62), kTimeInfinity);  // exactly 2^63
+  EXPECT_EQ(sat_scale(1.0, kTimeInfinity), kTimeInfinity);
+}
+
 TEST(Gcd, Basics) {
   EXPECT_EQ(gcd64(12, 18), 6);
   EXPECT_EQ(gcd64(0, 5), 5);

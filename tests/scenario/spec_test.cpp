@@ -1,6 +1,7 @@
 #include "scenario/spec.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -105,6 +106,26 @@ TEST(ScenarioSpecParse, ErrorsCarryLineNumbers) {
     EXPECT_NE(std::string{e.what()}.find("line 3"), std::string::npos);
     EXPECT_NE(std::string{e.what()}.find("unknown key 'bogus'"),
               std::string::npos);
+  }
+}
+
+TEST(ScenarioSpecParse, RejectsOutOfIntRangeCounts) {
+  // 2^32 + 1 would otherwise truncate to 1.
+  for (const auto& [line, key] : {
+           std::pair{"systems 4294967297", "'systems'"},
+           std::pair{"threads 4294967297", "'threads'"},
+           std::pair{"config 4294967297 60", "'config N'"},
+           std::pair{"system generate subtasks=4294967297", "'subtasks'"},
+       }) {
+    try {
+      parse(std::string{"e2esync-scenario v1\nscenario sweep\n"} + line + "\n");
+      FAIL() << "expected InvalidArgument for " << line;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string{e.what()}.find("line 3"), std::string::npos) << e.what();
+      EXPECT_NE(std::string{e.what()}.find(std::string{key} + " out of range"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -97,6 +97,18 @@ TEST(Serialize, RejectsBadNumbers) {
                InvalidArgument);
 }
 
+TEST(Serialize, RejectsOutOfIntRangeProcessor) {
+  // 2^32 + 1 would otherwise truncate to processor 1.
+  try {
+    (void)from_text("e2esync v1\nprocessors 2\ntask 10 0 10 0 T\nsub 4294967297 1 0 1 x\n");
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 4: processor id out of range"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Serialize, RejectsInvalidModel) {
   // Validation flows through TaskSystemBuilder: period 0 is rejected with
   // a line number.

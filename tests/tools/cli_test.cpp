@@ -471,6 +471,26 @@ TEST(Cli, AdmitJsonReportEscapesControlBytes) {
   }
 }
 
+TEST(Cli, AdmitBoundsHugePeriodUnderEveryPolicy) {
+  // 300 x 4e18 is past 2^63: the analysis caps saturate instead of
+  // overflowing, so a 1-tick task is bounded (not "eer unbounded").
+  const std::string request = "admit name=a period=4000000000000000000 sub=0:1:0\n";
+  const auto hash_of = [](const std::string& out) {
+    const std::size_t at = out.find(" hash ");
+    return at == std::string::npos ? std::string{} : out.substr(at + 6, 16);
+  };
+  for (const char* policy : {"--policy=pm", "--policy=ds", "--policy=holistic"}) {
+    const CliResult incremental = run_cli({"admit", policy}, request);
+    const CliResult full = run_cli({"admit", policy, "--full-recompute"}, request);
+    EXPECT_EQ(incremental.exit_code, 0) << policy << incremental.err;
+    EXPECT_NE(incremental.out.find("admitted 'a'"), std::string::npos)
+        << policy << incremental.out;
+    EXPECT_NE(full.out.find("admitted 'a'"), std::string::npos) << policy << full.out;
+    EXPECT_FALSE(hash_of(incremental.out).empty()) << incremental.out;
+    EXPECT_EQ(hash_of(incremental.out), hash_of(full.out)) << policy;
+  }
+}
+
 TEST(Cli, AdmitRejectsUnknownFlag) {
   const CliResult r = run_cli({"admit", "--plocy=ds"});
   EXPECT_NE(r.exit_code, 0);

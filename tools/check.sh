@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Sanitizer gate for the scenario layer: configures a build with
-# E2E_SANITIZE=address,undefined, builds, and runs the scenario- and
-# bench-smoke-labelled tests under it. Catches the lifetime bugs the
-# executor's engine recycling and cross-cell reuse could introduce.
+# Sanitizer gate: configures a build with
+# E2E_SANITIZE=address,undefined,float-cast-overflow, builds, and runs the
+# scenario-, bench-smoke-, timesvc-, admission- and analysis-labelled
+# tests under it. Catches the lifetime bugs the executor's engine
+# recycling and cross-cell reuse could introduce, out-of-bounds access in
+# the in-place interference-map compaction, and out-of-range
+# float-to-integer casts (GCC's `undefined` group leaves that check out).
 #
 # Usage: tools/check.sh
 #   CHECK_BUILD_DIR (default: build-check) -- sanitizer build tree
@@ -19,10 +22,12 @@ cd "$(dirname "$0")/.."
 CHECK_BUILD_DIR="${CHECK_BUILD_DIR:-build-check}"
 JOBS="${JOBS:-$(nproc)}"
 
-cmake -B "${CHECK_BUILD_DIR}" -S . -DE2E_SANITIZE=address,undefined
+cmake -B "${CHECK_BUILD_DIR}" -S . -DE2E_SANITIZE=address,undefined,float-cast-overflow
 cmake --build "${CHECK_BUILD_DIR}" -j "${JOBS}"
+# UBSan checks recover by default: make the first report fail its test.
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 ctest --test-dir "${CHECK_BUILD_DIR}" --output-on-failure \
-  -L "scenario|bench-smoke|timesvc|admission"
+  -L "scenario|bench-smoke|timesvc|admission|analysis"
 
 # Opt-in scaling gate, run against an unsanitized tree: wall-clock under
 # ASan/UBSan says nothing about real scaling, so the gate deliberately
