@@ -6,6 +6,11 @@
 // SA/DS stream (batch-begin/admits/batch-commit groups evaluated
 // through one trajectory each).
 //
+// Each variant is replayed three times, round-robin over the variants:
+// every replay must fold the same result hash (exit 5 otherwise), and
+// the reported wall time, latency percentiles and speedups come from the
+// fastest replay (min of 3).
+//
 // Variant hashes are cross-folded so the generic agreement check in
 // write_perf_report (all variant hashes equal) tests exactly "each
 // incremental engine matches its full baseline on every request": every
@@ -30,6 +35,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -95,6 +101,46 @@ Replay replay(const std::vector<Request>& stream, Policy policy,
   return result;
 }
 
+constexpr int kReplays = 3;
+
+/// The fastest of kReplays replays of one variant: the speedups divide
+/// runs of a few tens of milliseconds, and the ratio of two single
+/// shots moves with every scheduling hiccup; the minimum of three is far
+/// steadier. The engines are deterministic, so every replay must fold
+/// the same result hash; `repeatable` reports whether they did.
+struct BestReplay {
+  Replay best;
+  bool repeatable = true;
+};
+
+struct Job {
+  const std::vector<Request>* stream;
+  Policy policy;
+  bool full_recompute;
+};
+
+/// Replays every job kReplays times, round-robin over the jobs, so a
+/// slow stretch of the host lands on different variants in different
+/// rounds instead of on every replay of one variant.
+std::vector<BestReplay> best_replays(std::span<const Job> jobs,
+                                     std::size_t processors) {
+  std::vector<BestReplay> runs(jobs.size());
+  for (int k = 0; k < kReplays; ++k) {
+    for (std::size_t v = 0; v < jobs.size(); ++v) {
+      const Replay r = replay(*jobs[v].stream, jobs[v].policy,
+                              jobs[v].full_recompute, processors);
+      BestReplay& run = runs[v];
+      if (k == 0) {
+        run.best = r;
+        continue;
+      }
+      run.repeatable = run.repeatable && r.hash == run.best.hash;
+      if (r.wall_seconds < run.best.wall_seconds) run.best = r;
+    }
+  }
+  return runs;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,12 +167,25 @@ int main(int argc, char** argv) {
     Rng batch_rng = master.fork(0xBA7C4ED);
     const std::vector<Request> batch_stream = generate_churn(batch_rng, batch_shape);
 
-    const Replay full_pm = replay(stream, Policy::kPm, true, processors);
-    const Replay incr_pm = replay(stream, Policy::kPm, false, processors);
-    const Replay full_ds = replay(stream, Policy::kDs, true, processors);
-    const Replay incr_ds = replay(stream, Policy::kDs, false, processors);
-    const Replay full_dsb = replay(batch_stream, Policy::kDs, true, processors);
-    const Replay incr_dsb = replay(batch_stream, Policy::kDs, false, processors);
+    const Job jobs[] = {
+        {&stream, Policy::kPm, true},        {&stream, Policy::kPm, false},
+        {&stream, Policy::kDs, true},        {&stream, Policy::kDs, false},
+        {&batch_stream, Policy::kDs, true}, {&batch_stream, Policy::kDs, false},
+    };
+    const std::vector<BestReplay> runs = best_replays(jobs, processors);
+    for (const BestReplay& run : runs) {
+      if (!run.repeatable) {
+        std::cerr << "bench_admission: replays of one stream folded different "
+                     "result hashes\n";
+        return 5;
+      }
+    }
+    const Replay& full_pm = runs[0].best;
+    const Replay& incr_pm = runs[1].best;
+    const Replay& full_ds = runs[2].best;
+    const Replay& incr_ds = runs[3].best;
+    const Replay& full_dsb = runs[4].best;
+    const Replay& incr_dsb = runs[5].best;
 
     const auto speedup = [](const Replay& full, const Replay& incremental) {
       return incremental.wall_seconds > 0.0

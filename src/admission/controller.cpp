@@ -151,7 +151,8 @@ Outcome AdmissionController::admit(TaskSpec spec) {
   // foregone rejection -- skip the fixpoints and name the processor.
   // Inside an open batch the queued admits count toward the sum, so a
   // batch can never be committed into a structurally infeasible system.
-  std::vector<double> added(state_.processor_count(), 0.0);
+  std::vector<double>& added = added_utilization_;
+  added.assign(state_.processor_count(), 0.0);
   for (const SubtaskSpec& sub : spec.subtasks) {
     added[static_cast<std::size_t>(sub.processor)] +=
         static_cast<double>(sub.execution_time) / static_cast<double>(spec.period);

@@ -144,6 +144,9 @@ class AdmissionController {
   std::uint64_t requests_ = 0;
   bool in_batch_ = false;
   std::vector<TaskSpec> pending_batch_;
+  /// Per-processor utilization an admit would add (precheck buffer,
+  /// reused across requests).
+  std::vector<double> added_utilization_;
 };
 
 }  // namespace e2e::admission

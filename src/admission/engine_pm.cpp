@@ -3,14 +3,17 @@
 // Under SA/PM every subtask bound is a pure function of its own demand
 // equation: (period, exec, jitter, blocking, cap) plus the co-located
 // higher-or-equal-priority interferer parameters. The engine therefore
-// keeps, per processor, the resident subtask entries plus each entry's
-// equation signature, converged bound, and SubtaskScratch fixpoints, and
-// on every request re-solves exactly the entries whose *fresh* signature
-// differs from the stored one:
+// keeps, per processor, a plane of resident subtask entries, and per
+// subtask its equation signature, converged bound and SubtaskScratch
+// fixpoints, and on every request re-solves exactly the entries whose
+// *fresh* signature differs from the stored one:
 //
 //  * admit touches the candidate's processors only (every other entry's
 //    equation -- interferer set, blocking, cap -- is bit-identical, so
-//    signature-exact reuse applies with no monotonicity argument);
+//    signature-exact reuse applies with no monotonicity argument), and
+//    on those only the entries a candidate subtask enters: lower or
+//    equal priority (its hp set) or, for a non-preemptible candidate,
+//    every entry (its blocking term);
 //  * admits never shrink demand or the cap, so re-solves warm-start from
 //    the stored fixpoints (monotone warm start; entries whose previous
 //    bound was infinite restart cold, since a larger cap can turn
@@ -20,14 +23,32 @@
 //    maximum period changes, every signature in the system changes and
 //    the sweep widens to all processors -- rare under steady churn.
 //
-// A rejected admit rolls back by restoring the snapshotted entries, so
-// trial state never leaks. No TaskSystem or InterferenceMap is ever
-// built: per-request cost is proportional to the touched processors'
-// residents, not to the system -- which is where the order-of-magnitude
-// win over full recompute comes from (bench_admission).
+// Layout. Each plane entry carries every input another equation reads
+// from it (level, preemptibility, exec, task period and jitter) plus a
+// handle into the task slab, so assembling an equation walks only the
+// contiguous plane. Planes are sorted by (level, slot, chain index):
+// an entry's hp set is a prefix, its blocking term a suffix maximum,
+// and the entries a candidate enters are a suffix too. Task records
+// live in a slab of reusable handles, so a request allocates nothing
+// once the slab, the planes and the per-request buffers have grown to
+// the working set.
+//
+// A rejected admit rolls back by swap-restore: before a resident entry
+// is re-solved its scratch is copied into a member snapshot pool (which
+// keeps its capacity), and a rejection swaps every snapshot back; EERs,
+// the failing set and the margin memo are restored from undo records.
+// Trial state never leaks. `query`'s margin is memoised: a refresh that
+// raises a ratio above the maximum moves it, and only when the task
+// holding the maximum leaves or its ratio drops is it recomputed, once,
+// in O(live tasks) on the next query.
+//
+// No TaskSystem or InterferenceMap is ever built: per-request cost is
+// proportional to the touched processors' residents, not to the system
+// -- which is where the order-of-magnitude win over full recompute comes
+// from (bench_admission).
 #include <algorithm>
-#include <map>
-#include <set>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "admission/engine_internal.h"
@@ -38,49 +59,42 @@
 namespace e2e::admission {
 namespace {
 
+constexpr std::uint32_t kNoTask = std::numeric_limits<std::uint32_t>::max();
+
+/// Per-subtask analysis state. `scratch.bound` is the committed bound
+/// R_{i,j}; `scratch.signature` the equation it was solved for.
 struct PmSub {
   int processor = -1;
   int level = 0;
-  Duration exec = 0;
-  bool preemptible = true;
-  Duration bound = 0;
-  std::uint64_t signature = 0;
   SubtaskScratch scratch;
 };
 
 struct PmTask {
+  std::uint32_t slot = 0;
   Duration period = 0;
   Duration jitter = 0;
   Duration deadline = 0;
   Duration eer = 0;
+  std::uint64_t mark = 0;  ///< == epoch_: already queued for a refresh
   std::vector<PmSub> subs;
 };
 
-/// One resident subtask of a processor plane, ordered by (slot, sub) so
-/// hp signatures are stable for unchanged interference sets.
-struct PlaneRef {
+/// One resident subtask of a processor plane, with the inputs every
+/// other equation on the plane reads from it.
+struct PlaneEntry {
+  int level = 0;
+  bool preemptible = true;
+  Duration exec = 0;
+  Duration period = 0;  ///< the task's period
+  Duration jitter = 0;  ///< the task's release jitter
   std::uint32_t slot = 0;
-  std::uint32_t sub = 0;
-  friend bool operator<(const PlaneRef& a, const PlaneRef& b) noexcept {
-    return a.slot != b.slot ? a.slot < b.slot : a.sub < b.sub;
-  }
+  std::uint32_t sub = 0;   ///< chain index
+  std::uint32_t task = 0;  ///< handle into the task slab
 };
 
-/// Whether adding or removing one of `specs`' subtasks alters the SA/PM
-/// equation of `entry` on processor `p`: the subtask joins or leaves its
-/// hp set (level <= its own) or, being non-preemptible, may set its
-/// blocking term.
-bool equation_depends_on(std::span<const TaskSpec> specs, std::size_t p,
-                         const PmSub& entry) {
-  for (const TaskSpec& spec : specs) {
-    for (const SubtaskSpec& sub : spec.subtasks) {
-      if (static_cast<std::size_t>(sub.processor) == p &&
-          (!sub.preemptible || sub.priority_level <= entry.level)) {
-        return true;
-      }
-    }
-  }
-  return false;
+[[nodiscard]] bool plane_before(const PlaneEntry& a, const PlaneEntry& b) noexcept {
+  if (a.level != b.level) return a.level < b.level;
+  return a.slot != b.slot ? a.slot < b.slot : a.sub < b.sub;
 }
 
 class IncrementalPmEngine final : public Engine {
@@ -92,66 +106,23 @@ class IncrementalPmEngine final : public Engine {
 
   TrialVerdict admit_batch(const SystemState& state, std::uint32_t first_slot,
                            std::span<const TaskSpec> specs) override {
-    planes_.resize(state.processor_count());
-    const bool was_empty = live_.empty();
+    begin_request(state.processor_count());
+    const bool was_empty = by_slot_.empty();
+    const Memo saved_memo = memo_;
+    const Duration saved_max_period = max_period_;
+    const std::size_t saved_max_count = max_period_count_;
     for (std::size_t i = 0; i < specs.size(); ++i) {
       insert_task(first_slot + static_cast<std::uint32_t>(i), specs[i]);
     }
     const Time new_cap = cap_from_periods();
     const bool cap_changed = was_empty || new_cap != cap_;
-
-    std::vector<std::uint8_t> touched(planes_.size(), 0);
-    if (cap_changed) {
-      std::fill(touched.begin(), touched.end(), 1);
-    } else {
-      for (const TaskSpec& spec : specs) {
-        for (const SubtaskSpec& sub : spec.subtasks) {
-          touched[static_cast<std::size_t>(sub.processor)] = 1;
-        }
-      }
+    touch_planes(specs, cap_changed);
+    for (const std::uint32_t p : touched_) {
+      solve_plane(p, new_cap, cap_changed, first_slot);
     }
-
-    // Snapshot everything the trial may overwrite; the candidates' own
-    // entries need none (a reject erases the whole batch).
-    struct EntrySnap {
-      PlaneRef ref;
-      Duration bound;
-      std::uint64_t signature;
-      SubtaskScratch scratch;
-    };
-    std::vector<EntrySnap> snap_entries;
-    std::vector<std::pair<std::uint32_t, Duration>> snap_eers;
-    const std::set<std::uint32_t> snap_failing = failing_;
-
-    std::set<std::uint32_t> dirty;
-    for (std::size_t p = 0; p < planes_.size(); ++p) {
-      if (touched[p] == 0) continue;
-      for (const PlaneRef& ref : planes_[p]) {
-        PmSub& entry = sub_of(ref);
-        // A resident equation no candidate enters keeps its signature.
-        if (!cap_changed && ref.slot < first_slot &&
-            !equation_depends_on(specs, p, entry)) {
-          continue;
-        }
-        const ResponseEquation eq = equation_of(ref, entry, new_cap);
-        const std::uint64_t sig = response_equation_signature(eq, hp_view());
-        if (sig == entry.signature && entry.scratch.has) continue;
-        if (ref.slot < first_slot) {
-          snap_entries.push_back({ref, entry.bound, entry.signature, entry.scratch});
-        }
-        // Admits only grow demand and the cap, so finite fixpoints
-        // warm-start; a previously unbounded entry must restart cold.
-        const bool warm = entry.scratch.has && !is_infinite(entry.bound);
-        entry.bound = solve_response_bound(eq, hp_view(), &entry.scratch, warm);
-        entry.signature = sig;
-        dirty.insert(ref.slot);
-      }
-    }
-
-    for (const std::uint32_t s : dirty) {
-      PmTask& task = live_.at(s);
-      if (s < first_slot) snap_eers.emplace_back(s, task.eer);
-      refresh_task(s, task);
+    for (const std::uint32_t h : dirty_) {
+      if (tasks_[h].slot < first_slot) eer_undo_.emplace_back(h, tasks_[h].eer);
+      refresh_task(h);
     }
 
     if (failing_.empty()) {
@@ -159,193 +130,363 @@ class IncrementalPmEngine final : public Engine {
       return {true, std::nullopt};
     }
 
-    TrialFailure failure = failure_of(*failing_.begin(), first_slot);
+    TrialFailure failure = failure_of(failing_.front(), first_slot);
     // Roll back: the engine must be bit-identical to before the trial.
-    for (const EntrySnap& snap : snap_entries) {
-      PmSub& entry = sub_of(snap.ref);
-      entry.bound = snap.bound;
-      entry.signature = snap.signature;
-      entry.scratch = snap.scratch;
+    for (std::size_t k = 0; k < snap_count_; ++k) {
+      Snapshot& snap = snaps_[k];
+      std::swap(snap.scratch, tasks_[snap.task].subs[snap.sub].scratch);
     }
-    for (const auto& [s, eer] : snap_eers) live_.at(s).eer = eer;
-    failing_ = snap_failing;
+    for (const auto& [h, eer] : eer_undo_) tasks_[h].eer = eer;
+    for (std::size_t k = failing_undo_.size(); k-- > 0;) {
+      set_failing(failing_undo_[k].first, failing_undo_[k].second);
+    }
     for (std::size_t i = specs.size(); i-- > 0;) {
-      erase_task(first_slot + static_cast<std::uint32_t>(i), specs[i].period);
+      unlink_task(by_slot_.back().second);
+      by_slot_.pop_back();
     }
+    memo_ = saved_memo;
+    max_period_ = saved_max_period;
+    max_period_count_ = saved_max_count;
     return {false, std::move(failure)};
   }
 
   TrialVerdict remove(const SystemState& state, std::uint32_t slot) override {
+    begin_request(state.processor_count());
     const TaskSpec& spec = state.spec(slot);
-    erase_task(slot, spec.period);
-    failing_.erase(slot);
-    if (live_.empty()) return {true, std::nullopt};
+    const auto pos = slot_position(slot);
+    const std::uint32_t h = pos->second;
+    by_slot_.erase(pos);
+    unlink_task(h);
+    set_failing(slot, false);
+    if (h == memo_.task) memo_.stale = true;
+    if (spec.period == max_period_ && --max_period_count_ == 0) rescan_max_period();
+    if (by_slot_.empty()) {
+      memo_ = Memo{};
+      return {true, std::nullopt};
+    }
 
     const Time new_cap = cap_from_periods();
     const bool cap_changed = new_cap != cap_;
-    std::vector<std::uint8_t> touched(planes_.size(), 0);
-    if (cap_changed) {
-      std::fill(touched.begin(), touched.end(), 1);
-    } else {
-      for (const SubtaskSpec& sub : spec.subtasks) {
-        touched[static_cast<std::size_t>(sub.processor)] = 1;
-      }
+    touch_planes({&spec, 1}, cap_changed);
+    for (const std::uint32_t p : touched_) {
+      solve_plane(p, new_cap, cap_changed, std::nullopt);
     }
-
-    std::set<std::uint32_t> dirty;
-    for (std::size_t p = 0; p < planes_.size(); ++p) {
-      if (touched[p] == 0) continue;
-      for (const PlaneRef& ref : planes_[p]) {
-        PmSub& entry = sub_of(ref);
-        if (!cap_changed && !equation_depends_on({&spec, 1}, p, entry)) continue;
-        const ResponseEquation eq = equation_of(ref, entry, new_cap);
-        const std::uint64_t sig = response_equation_signature(eq, hp_view());
-        if (sig == entry.signature && entry.scratch.has) continue;
-        // Demand shrank: the old fixpoint over-approximates, so restart
-        // cold (signature-exact reuse above needs no such care).
-        entry.scratch = SubtaskScratch{};
-        entry.bound = solve_response_bound(eq, hp_view(), &entry.scratch, false);
-        entry.signature = sig;
-        dirty.insert(ref.slot);
-      }
-    }
-    for (const std::uint32_t s : dirty) refresh_task(s, live_.at(s));
+    for (const std::uint32_t d : dirty_) refresh_task(d);
     cap_ = new_cap;
     if (failing_.empty()) return {true, std::nullopt};
-    return {false, failure_of(*failing_.begin(), std::nullopt)};
+    return {false, failure_of(failing_.front(), std::nullopt)};
   }
 
   std::uint64_t fold_bounds(std::uint64_t acc) const override {
-    for (const auto& [slot, task] : live_) {
+    for (const auto& [slot, h] : by_slot_) {
+      const PmTask& task = tasks_[h];
       acc = hash_combine(acc, static_cast<std::uint64_t>(task.eer));
       for (const PmSub& sub : task.subs) {
-        acc = hash_combine(acc, static_cast<std::uint64_t>(sub.bound));
+        acc = hash_combine(acc, static_cast<std::uint64_t>(sub.scratch.bound));
       }
     }
     return acc;
   }
 
   double margin() const override {
-    double worst = 0.0;
-    for (const auto& [slot, task] : live_) {
-      worst = std::max(worst, detail::margin_ratio(task.eer, task.deadline));
+    if (memo_.stale) {
+      memo_ = Memo{};
+      for (const auto& [slot, h] : by_slot_) note_ratio(h);
     }
-    return worst;
+    return memo_.worst;
   }
 
   const char* name() const noexcept override { return "incremental"; }
 
  private:
-  [[nodiscard]] PmSub& sub_of(const PlaneRef& ref) {
-    return live_.at(ref.slot).subs[ref.sub];
+  /// max over live tasks of margin_ratio, and a task holding it. While
+  /// `stale` the pair is unknown and the next margin() rescans.
+  struct Memo {
+    double worst = 0.0;
+    std::uint32_t task = kNoTask;
+    bool stale = false;
+  };
+
+  /// A resident scratch as it was before the current trial re-solved it.
+  struct Snapshot {
+    std::uint32_t task = 0;
+    std::uint32_t sub = 0;
+    SubtaskScratch scratch;
+  };
+
+  /// Starts a request: sizes the per-processor buffers (once) and
+  /// clears the per-request records, keeping their capacity.
+  void begin_request(std::size_t processors) {
+    planes_.resize(processors);
+    plane_mark_.resize(processors, 0);
+    plane_from_.resize(processors, 0);
+    ++epoch_;
+    touched_.clear();
+    dirty_.clear();
+    snap_count_ = 0;
+    eer_undo_.clear();
+    failing_undo_.clear();
+  }
+
+  /// Marks the planes `specs` change and, per plane, the lowest level
+  /// whose equations a changed subtask enters (every level, if one is
+  /// non-preemptible); a cap change marks every entry of every plane.
+  void touch_planes(std::span<const TaskSpec> specs, bool cap_changed) {
+    constexpr int kAllLevels = std::numeric_limits<int>::min();
+    if (cap_changed) {
+      for (std::uint32_t p = 0; p < planes_.size(); ++p) {
+        plane_from_[p] = kAllLevels;
+        touched_.push_back(p);
+      }
+      return;
+    }
+    for (const TaskSpec& spec : specs) {
+      for (const SubtaskSpec& sub : spec.subtasks) {
+        const auto p = static_cast<std::uint32_t>(sub.processor);
+        const int from = sub.preemptible ? sub.priority_level : kAllLevels;
+        if (plane_mark_[p] != epoch_) {
+          plane_mark_[p] = epoch_;
+          plane_from_[p] = from;
+          touched_.push_back(p);
+        } else {
+          plane_from_[p] = std::min(plane_from_[p], from);
+        }
+      }
+    }
+  }
+
+  /// Re-solves every entry of plane `p` at or below its touched level
+  /// whose signature moved. `first_candidate` is set for an admit trial
+  /// (warm re-solves, residents snapshotted first) and unset for a
+  /// remove (cold re-solves, always committed).
+  void solve_plane(std::uint32_t p, Time cap, bool cap_changed,
+                   std::optional<std::uint32_t> first_candidate) {
+    const std::vector<PlaneEntry>& plane = planes_[p];
+    const std::size_t n = plane.size();
+    // blocking_[k]: the largest non-preemptible blocking term among
+    // entries k..n-1 -- the blocking of any entry whose hp prefix ends at k.
+    blocking_.resize(n + 1);
+    blocking_[n] = 0;
+    for (std::size_t k = n; k-- > 0;) {
+      blocking_[k] = plane[k].preemptible
+                         ? blocking_[k + 1]
+                         : std::max(blocking_[k + 1], plane[k].exec - 1);
+    }
+    const int from = plane_from_[p];
+    const std::size_t begin =
+        cap_changed ? 0
+                    : static_cast<std::size_t>(
+                          std::partition_point(plane.begin(), plane.end(),
+                                               [from](const PlaneEntry& e) {
+                                                 return e.level < from;
+                                               }) -
+                          plane.begin());
+    std::size_t hp_end = begin;  // first entry of strictly lower priority
+    for (std::size_t i = begin; i < n; ++i) {
+      const PlaneEntry& entry = plane[i];
+      while (hp_end < n && plane[hp_end].level <= entry.level) ++hp_end;
+      hp_periods_.clear();
+      hp_execs_.clear();
+      hp_jitters_.clear();
+      for (std::size_t k = 0; k < hp_end; ++k) {  // the paper's H set
+        if (k == i) continue;
+        hp_periods_.push_back(plane[k].period);
+        hp_execs_.push_back(plane[k].exec);
+        hp_jitters_.push_back(plane[k].jitter);
+      }
+      const ResponseEquation eq{.period = entry.period,
+                                .exec = entry.exec,
+                                .jitter = entry.jitter,
+                                .blocking = blocking_[hp_end],
+                                .cap = cap};
+      const HpView hp{hp_periods_, hp_execs_, hp_jitters_};
+      const std::uint64_t sig = response_equation_signature(eq, hp);
+      SubtaskScratch& scratch = tasks_[entry.task].subs[entry.sub].scratch;
+      if (scratch.has && sig == scratch.signature) continue;
+      bool warm = false;
+      if (first_candidate.has_value()) {
+        if (entry.slot < *first_candidate) snapshot(entry.task, entry.sub);
+        // Admits only grow demand and the cap, so finite fixpoints
+        // warm-start; a previously unbounded entry must restart cold.
+        warm = scratch.has && !is_infinite(scratch.bound);
+      }
+      // On a remove demand shrank: the old fixpoint over-approximates,
+      // so the solve restarts cold (signature-exact reuse above needs no
+      // such care).
+      (void)solve_response_bound(eq, hp, &scratch, warm);
+      scratch.signature = sig;
+      PmTask& task = tasks_[entry.task];
+      if (task.mark != epoch_) {
+        task.mark = epoch_;
+        dirty_.push_back(entry.task);
+      }
+    }
+  }
+
+  void snapshot(std::uint32_t task, std::uint32_t sub) {
+    if (snap_count_ == snaps_.size()) snaps_.emplace_back();
+    Snapshot& snap = snaps_[snap_count_++];
+    snap.task = task;
+    snap.sub = sub;
+    snap.scratch = tasks_[task].subs[sub].scratch;  // reuses snap's capacity
   }
 
   /// Same expression as analyze_sa_pm's cap so signatures agree with the
   /// offline analysis of the identical system.
   [[nodiscard]] Time cap_from_periods() const {
-    const Duration max_period = period_counts_.rbegin()->first;
-    return sat_scale(SaPmOptions{}.cap_period_multiplier, max_period);
-  }
-
-  /// Assembles the demand equation of `ref` against the *current* plane
-  /// into the reusable hp buffers (valid until the next call).
-  [[nodiscard]] ResponseEquation equation_of(const PlaneRef& ref, const PmSub& entry,
-                                             Time cap) {
-    hp_periods_.clear();
-    hp_execs_.clear();
-    hp_jitters_.clear();
-    Duration blocking = 0;
-    for (const PlaneRef& other_ref :
-         planes_[static_cast<std::size_t>(entry.processor)]) {
-      if (other_ref.slot == ref.slot && other_ref.sub == ref.sub) continue;
-      const PmTask& other_task = live_.at(other_ref.slot);
-      const PmSub& other = other_task.subs[other_ref.sub];
-      if (other.level <= entry.level) {  // the paper's H set: >= priority
-        hp_periods_.push_back(other_task.period);
-        hp_execs_.push_back(other.exec);
-        hp_jitters_.push_back(other_task.jitter);
-      } else if (!other.preemptible) {
-        blocking = std::max(blocking, other.exec - 1);
-      }
-    }
-    const PmTask& task = live_.at(ref.slot);
-    return ResponseEquation{.period = task.period,
-                            .exec = entry.exec,
-                            .jitter = task.jitter,
-                            .blocking = blocking,
-                            .cap = cap};
-  }
-
-  [[nodiscard]] HpView hp_view() const noexcept {
-    return HpView{hp_periods_, hp_execs_, hp_jitters_};
+    return sat_scale(SaPmOptions{}.cap_period_multiplier, max_period_);
   }
 
   /// Recomputes a task's EER (SA/PM step 5: the sum of its subtask
-  /// bounds) and its membership in the failing set.
-  void refresh_task(std::uint32_t slot, PmTask& task) {
+  /// bounds), its membership in the failing set and the margin memo.
+  void refresh_task(std::uint32_t h) {
+    PmTask& task = tasks_[h];
     Duration eer = 0;
-    for (const PmSub& sub : task.subs) eer = sat_add(eer, sub.bound);
+    for (const PmSub& sub : task.subs) eer = sat_add(eer, sub.scratch.bound);
     task.eer = eer;
-    if (!is_infinite(eer) && eer <= task.deadline) {
-      failing_.erase(slot);
+    const bool failing = is_infinite(eer) || eer > task.deadline;
+    if (set_failing(task.slot, failing)) failing_undo_.emplace_back(task.slot, !failing);
+    if (memo_.stale) return;
+    const double ratio = detail::margin_ratio(eer, task.deadline);
+    if (ratio > memo_.worst) {
+      memo_.worst = ratio;
+      memo_.task = h;
+    } else if (h == memo_.task && ratio < memo_.worst) {
+      memo_.stale = true;
+    }
+  }
+
+  void note_ratio(std::uint32_t h) const {
+    const double ratio = detail::margin_ratio(tasks_[h].eer, tasks_[h].deadline);
+    if (ratio > memo_.worst) {
+      memo_.worst = ratio;
+      memo_.task = h;
+    }
+  }
+
+  /// Sets `slot`'s membership in the failing set; true if it changed.
+  bool set_failing(std::uint32_t slot, bool failing) {
+    const auto it = std::lower_bound(failing_.begin(), failing_.end(), slot);
+    const bool member = it != failing_.end() && *it == slot;
+    if (member == failing) return false;
+    if (failing) {
+      failing_.insert(it, slot);
     } else {
-      failing_.insert(slot);
+      failing_.erase(it);
     }
+    return true;
   }
 
+  /// Adds a task record (reusing a freed handle and its buffers) and its
+  /// plane entries; slots arrive in ascending order.
   void insert_task(std::uint32_t slot, const TaskSpec& spec) {
-    PmTask task{.period = spec.period,
-                .jitter = spec.release_jitter,
-                .deadline = spec.deadline};
-    task.subs.reserve(spec.subtasks.size());
-    for (const SubtaskSpec& sub : spec.subtasks) {
-      task.subs.push_back({.processor = sub.processor,
-                           .level = sub.priority_level,
-                           .exec = sub.execution_time,
-                           .preemptible = sub.preemptible});
+    std::uint32_t h = 0;
+    if (free_tasks_.empty()) {
+      h = static_cast<std::uint32_t>(tasks_.size());
+      tasks_.emplace_back();
+    } else {
+      h = free_tasks_.back();
+      free_tasks_.pop_back();
     }
-    live_.emplace(slot, std::move(task));
+    PmTask& task = tasks_[h];
+    task.slot = slot;
+    task.period = spec.period;
+    task.jitter = spec.release_jitter;
+    task.deadline = spec.deadline;
+    task.eer = 0;
+    task.subs.resize(spec.subtasks.size());
     for (std::uint32_t j = 0; j < spec.subtasks.size(); ++j) {
-      auto& plane = planes_[static_cast<std::size_t>(spec.subtasks[j].processor)];
-      const PlaneRef ref{slot, j};
-      plane.insert(std::lower_bound(plane.begin(), plane.end(), ref), ref);
+      const SubtaskSpec& sub = spec.subtasks[j];
+      PmSub& rec = task.subs[j];
+      rec.processor = sub.processor;
+      rec.level = sub.priority_level;
+      rec.scratch.has = false;  // the first solve is cold and overwrites it
+      const PlaneEntry entry{.level = sub.priority_level,
+                             .preemptible = sub.preemptible,
+                             .exec = sub.execution_time,
+                             .period = spec.period,
+                             .jitter = spec.release_jitter,
+                             .slot = slot,
+                             .sub = j,
+                             .task = h};
+      auto& plane = planes_[static_cast<std::size_t>(sub.processor)];
+      plane.insert(std::upper_bound(plane.begin(), plane.end(), entry, plane_before),
+                   entry);
     }
-    ++period_counts_[spec.period];
+    by_slot_.emplace_back(slot, h);
+    count_period(spec.period);
   }
 
-  void erase_task(std::uint32_t slot, Duration period) {
-    const auto it = live_.find(slot);
-    for (std::uint32_t j = 0; j < it->second.subs.size(); ++j) {
-      auto& plane =
-          planes_[static_cast<std::size_t>(it->second.subs[j].processor)];
-      const PlaneRef ref{slot, j};
-      const auto pos = std::lower_bound(plane.begin(), plane.end(), ref);
-      plane.erase(pos);
+  /// Drops a task's plane entries and frees its handle (buffers kept).
+  void unlink_task(std::uint32_t h) {
+    const PmTask& task = tasks_[h];
+    for (std::uint32_t j = 0; j < task.subs.size(); ++j) {
+      const PlaneEntry key{.level = task.subs[j].level, .slot = task.slot, .sub = j};
+      auto& plane = planes_[static_cast<std::size_t>(task.subs[j].processor)];
+      plane.erase(std::lower_bound(plane.begin(), plane.end(), key, plane_before));
     }
-    live_.erase(it);
-    const auto period_it = period_counts_.find(period);
-    if (--period_it->second == 0) period_counts_.erase(period_it);
+    free_tasks_.push_back(h);
+  }
+
+  void count_period(Duration period) {
+    if (period > max_period_) {
+      max_period_ = period;
+      max_period_count_ = 1;
+    } else if (period == max_period_) {
+      ++max_period_count_;
+    }
+  }
+
+  void rescan_max_period() {
+    max_period_ = 0;
+    max_period_count_ = 0;
+    for (const auto& [slot, h] : by_slot_) count_period(tasks_[h].period);
+  }
+
+  [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint32_t>>::iterator
+  slot_position(std::uint32_t slot) {
+    return std::lower_bound(by_slot_.begin(), by_slot_.end(),
+                            std::pair<std::uint32_t, std::uint32_t>{slot, 0});
   }
 
   [[nodiscard]] TrialFailure failure_of(
-      std::uint32_t slot, std::optional<std::uint32_t> first_candidate_slot) const {
-    const PmTask& task = live_.at(slot);
+      std::uint32_t slot, std::optional<std::uint32_t> first_candidate_slot) {
+    const PmTask& task = tasks_[slot_position(slot)->second];
     TrialFailure failure{
         .slot = slot,
         .is_candidate =
             first_candidate_slot.has_value() && slot >= *first_candidate_slot,
         .eer = task.eer,
         .deadline = task.deadline};
-    for (const PmSub& sub : task.subs) failure.subtask_bounds.push_back(sub.bound);
+    for (const PmSub& sub : task.subs) {
+      failure.subtask_bounds.push_back(sub.scratch.bound);
+    }
     return failure;
   }
 
-  std::map<std::uint32_t, PmTask> live_;
-  std::vector<std::vector<PlaneRef>> planes_;  // per processor, sorted
-  std::map<Duration, std::size_t> period_counts_;
-  std::set<std::uint32_t> failing_;  // slots whose task is unschedulable
-  Time cap_ = 0;                     // valid only while live_ is non-empty
-  // Reusable hp-assembly buffers (never shared across threads).
+  // Committed state.
+  std::vector<PmTask> tasks_;              // slab; handles are indices
+  std::vector<std::uint32_t> free_tasks_;  // handles of departed tasks
+  /// (slot, handle) of every live task and trial candidate, ascending.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> by_slot_;
+  std::vector<std::vector<PlaneEntry>> planes_;  // per processor, plane_before
+  Duration max_period_ = 0;
+  std::size_t max_period_count_ = 0;  // live tasks with max_period_
+  std::vector<std::uint32_t> failing_;  // sorted slots of unschedulable tasks
+  Time cap_ = 0;                        // valid only while a task is live
+  mutable Memo memo_;  // the engine is never shared across threads
+
+  // Per-request records, reused (never shared across threads).
+  std::uint64_t epoch_ = 0;
+  std::vector<std::uint64_t> plane_mark_;  // == epoch_: plane touched
+  std::vector<int> plane_from_;            // lowest touched level per plane
+  std::vector<std::uint32_t> touched_;
+  std::vector<std::uint32_t> dirty_;  // tasks with a re-solved subtask
+  std::vector<Snapshot> snaps_;       // pool; the first snap_count_ are live
+  std::size_t snap_count_ = 0;
+  std::vector<std::pair<std::uint32_t, Duration>> eer_undo_;
+  std::vector<std::pair<std::uint32_t, bool>> failing_undo_;  // (slot, was)
+  std::vector<Duration> blocking_;
   std::vector<Duration> hp_periods_;
   std::vector<Duration> hp_execs_;
   std::vector<Duration> hp_jitters_;

@@ -81,15 +81,17 @@ Duration solve_response_bound(const ResponseEquation& eq, const HpView& hp,
   // Steps 3-4: bound each instance's response time, take the max. C(m)
   // grows by at least `exec` per instance, so each fixpoint warm-starts
   // from the previous completion (and, when warm, from the previous
-  // run's C(m) -- also <= the new least fixpoint).
+  // run's C(m) -- also <= the new least fixpoint). The fixpoints are
+  // written over the scratch's own vector in place: C(m)'s warm seed is
+  // read before slot m-1 is overwritten, and the capacity is kept.
   Duration worst = 0;
   Time previous_completion = 0;
-  std::vector<Time> completions;
-  if (sc != nullptr) completions.reserve(static_cast<std::size_t>(instances));
+  std::vector<Time>* completions = sc != nullptr ? &sc->completions : nullptr;
   for (std::int64_t m = 1; m <= instances; ++m) {
+    const auto slot = static_cast<std::size_t>(m - 1);
     Time start = std::max(sat_mul(m, exec), sat_add(previous_completion, exec));
-    if (warm && static_cast<std::size_t>(m) <= sc->completions.size()) {
-      start = std::max(start, sc->completions[static_cast<std::size_t>(m - 1)]);
+    if (warm && slot < completions->size()) {
+      start = std::max(start, (*completions)[slot]);
     }
     const DemandEvaluator completion_eval{
         .periods = hp.periods,
@@ -100,14 +102,21 @@ Duration solve_response_bound(const ResponseEquation& eq, const HpView& hp,
     const std::optional<Time> completion = solve_fixpoint_from(start, completion_eval, fp);
     if (!completion) return record_unbounded();
     previous_completion = *completion;
-    if (sc != nullptr) completions.push_back(*completion);
+    if (completions != nullptr) {
+      if (slot < completions->size()) {
+        (*completions)[slot] = *completion;
+      } else {
+        completions->push_back(*completion);
+      }
+    }
     worst = std::max(worst, sat_add(*completion, jitter) - (m - 1) * period);
   }
   if (sc != nullptr) {
     sc->has = true;
     sc->busy = *busy;
     sc->bound = worst;
-    sc->completions = std::move(completions);
+    // Drop what a previous run with more instances left behind.
+    completions->resize(static_cast<std::size_t>(instances));
   }
   return worst;
 }

@@ -11,6 +11,7 @@
 
 #include "common/error.h"
 #include "common/ids.h"
+#include "common/math.h"
 #include "common/time.h"
 #include "task/model.h"
 
@@ -76,9 +77,10 @@ class TaskSystem {
   /// derives it from here (runner, CLI `simulate`, experiment drivers).
   static constexpr double kDefaultHorizonPeriods = 30.0;
 
-  /// Horizon of `periods` maximum periods, in ticks.
+  /// Horizon of `periods` maximum periods, in ticks, saturating at
+  /// kTimeInfinity when the product leaves the 64-bit time range.
   [[nodiscard]] Time horizon_ticks(double periods) const noexcept {
-    return static_cast<Time>(periods * static_cast<double>(max_period_));
+    return sat_scale(periods, max_period_);
   }
 
   /// The system-wide default horizon: kDefaultHorizonPeriods max-periods.

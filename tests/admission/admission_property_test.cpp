@@ -18,7 +18,10 @@
 // invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "admission/churn.h"
@@ -27,6 +30,7 @@
 #include "common/rng.h"
 #include "core/analysis/interference.h"
 #include "core/analysis/sa_ds.h"
+#include "core/analysis/sa_pm.h"
 #include "exec/thread_pool.h"
 
 namespace e2e::admission {
@@ -162,6 +166,89 @@ TEST(AdmissionProperty, BatchedStreamsMatch) {
   run_lockstep(Policy::kPm, 0x5EED0001u, 0.3);
   run_lockstep(Policy::kDs, 0x5EED0002u, 0.3);
   run_lockstep(Policy::kHolistic, 0x5EED0003u, 0.3);
+}
+
+// Margin lockstep: the incremental SA/PM engine memoises the `query`
+// margin and recomputes it only when the task holding the maximum leaves
+// or its ratio drops. A query after EVERY request must still return the
+// bit-identical double of full recompute. The streams must reach the
+// memo's hard paths: removing the task that holds the maximum, a
+// rejected trial (whose rollback restores the memo) right after the
+// margin moved, and a divergence-cap move (every bound re-solved).
+TEST(AdmissionProperty, MarginMatchesFullRecomputeAfterEveryRequest) {
+  bool removed_max_margin_task = false;
+  bool rejected_after_margin_change = false;
+  bool moved_cap = false;
+  const auto max_period = [](const SystemState& state) {
+    Duration max = 0;
+    for (const auto& [slot, spec] : state.live()) max = std::max(max, spec.period);
+    return max;
+  };
+  for (const std::uint64_t seed : {0x3A6150u, 20261018u}) {
+    ChurnShape shape;
+    shape.processors = 8;
+    shape.initial_admits = 60;
+    shape.requests = 220;
+    shape.max_sub_utilization = 0.05;
+    shape.batch_fraction = 0.2;
+    shape.max_batch = 3;
+    Rng rng{seed};
+    const std::vector<Request> stream = generate_churn(rng, shape);
+
+    ControllerOptions options;
+    options.policy = Policy::kPm;
+    options.processors = shape.processors;
+    options.full_recompute = true;
+    AdmissionController full{options};
+    options.full_recompute = false;
+    AdmissionController incremental{options};
+
+    double margin = 0.0;
+    bool margin_moved = false;  // by the request before the current one
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const Request& request = stream[i];
+      const Duration period_before = max_period(full.state());
+      if (request.ok() && request.verb == Verb::kRemove && !full.in_batch()) {
+        if (const auto slot = full.state().slot_of(request.task.name)) {
+          const SystemState::Built built =
+              full.state().build_with(nullptr, 0, std::nullopt);
+          const AnalysisResult bounds = analyze_sa_pm(built.system);
+          const auto index = static_cast<std::size_t>(
+              std::find(built.slots.begin(), built.slots.end(), *slot) -
+              built.slots.begin());
+          const Duration eer = bounds.eer_bounds[index];
+          const Duration deadline = full.state().spec(*slot).deadline;
+          const double ratio = is_infinite(eer) ? 1e9
+                                                : static_cast<double>(eer) /
+                                                      static_cast<double>(deadline);
+          removed_max_margin_task |= ratio == margin;
+        }
+      }
+      const Outcome a = full.submit(request);
+      const Outcome b = incremental.submit(request);
+      expect_equal_outcomes(a, b, i);
+      rejected_after_margin_change |=
+          margin_moved && a.reason == ReasonCode::kBoundFailure && !b.from_cache;
+      const Duration period_after = max_period(full.state());
+      moved_cap |= period_before != 0 && period_after != 0 &&
+                   period_before != period_after;
+
+      const Outcome qa = full.query();
+      const Outcome qb = incremental.query();
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(qa.margin),
+                std::bit_cast<std::uint64_t>(qb.margin))
+          << "seed " << seed << ", request " << i << " ("
+          << to_string(request.verb) << " '" << request.task.name
+          << "'): full " << qa.margin << ", incremental " << qb.margin;
+      margin_moved = qa.margin != margin;
+      margin = qa.margin;
+      ASSERT_EQ(full.result_hash(), incremental.result_hash())
+          << "seed " << seed << ", request " << i;
+    }
+  }
+  EXPECT_TRUE(removed_max_margin_task);
+  EXPECT_TRUE(rejected_after_margin_change);
+  EXPECT_TRUE(moved_cap);
 }
 
 TEST(AdmissionProperty, ShardedReplayIsThreadCountInvariant) {

@@ -272,6 +272,40 @@ TEST(Controller, BatchPrechecksSeePendingMembers) {
   EXPECT_EQ(controller.state().task_count(), 1u);
 }
 
+// SA/PM's divergence cap is 300 x the longest live period. X (period 10,
+// exec 5, release jitter 10000) has a busy period of 10000: bounded
+// (10005) under a cap of 30000, unbounded under 3000. A rejected
+// long-period candidate must leave the cap where it was, and removing the
+// longest-period task must shrink it -- in both engines alike.
+TEST(Controller, DivergenceCapFollowsTheLongestLivePeriod) {
+  TaskSpec x = make_spec("X", 10, {{0, 5, 0}}, 100000);
+  x.release_jitter = 10000;
+  for (const bool full_recompute : {true, false}) {
+    ControllerOptions options = pm_options();
+    options.full_recompute = full_recompute;
+    AdmissionController controller{options};
+    ASSERT_TRUE(controller.admit(make_spec("A", 10, {{1, 1, 0}})).accepted);
+    // Period 1000 would lift the cap to 300000, but C misses its deadline.
+    const Outcome c = controller.admit(make_spec("C", 1000, {{1, 1, 1}}, 1));
+    EXPECT_EQ(c.reason, ReasonCode::kBoundFailure) << full_recompute;
+    const Outcome rejected = controller.admit(x);
+    EXPECT_EQ(rejected.reason, ReasonCode::kBoundFailure) << full_recompute;
+    EXPECT_TRUE(is_infinite(rejected.culprit_eer)) << full_recompute;
+
+    ASSERT_TRUE(controller.admit(make_spec("Big", 100, {{1, 1, 1}})).accepted);
+    const Outcome admitted = controller.admit(x);
+    ASSERT_TRUE(admitted.accepted) << full_recompute;
+    EXPECT_EQ(controller.query().margin, 10005.0 / 100000.0) << full_recompute;
+    const Outcome removed = controller.remove("Big");
+    EXPECT_TRUE(removed.accepted);
+    EXPECT_FALSE(removed.remaining_schedulable) << full_recompute;
+    EXPECT_EQ(removed.culprit_task, "X") << full_recompute;
+    EXPECT_EQ(controller.query().margin, 1e9) << full_recompute;
+    EXPECT_TRUE(controller.remove("X").remaining_schedulable) << full_recompute;
+    EXPECT_EQ(controller.query().margin, 1.0 / 10.0) << full_recompute;
+  }
+}
+
 // The same handcrafted stream produces the same verdicts and the same
 // running result hash under every (policy, engine) pairing -- a quick
 // deterministic instance of the identity the property test randomizes.

@@ -9,8 +9,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "core/analysis/fixpoint.h"
+#include "core/analysis/kernels.h"
 #include "core/analysis/sa_ds.h"
 #include "core/analysis/sa_pm.h"
 #include "tests/support/reference_analysis.h"
@@ -121,6 +124,85 @@ TEST(DemandKernel, SolveFixpointEvaluatesSeedOnce) {
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(*w, 3);
   EXPECT_EQ(calls, 2);
+}
+
+// solve_response_bound writes its fixpoints over the caller's scratch in
+// place. Whatever a reused scratch held before -- more instances, fewer,
+// or an unbounded verdict -- the result must equal a solve into a fresh
+// scratch: bound, busy period and every completion fixpoint.
+struct KernelCase {
+  std::vector<Duration> periods;
+  std::vector<Duration> execs;
+  ResponseEquation eq;
+
+  [[nodiscard]] HpView hp() const {
+    static const std::vector<Duration> kNoJitter(8, 0);
+    return HpView{periods, execs,
+                  std::span<const Duration>{kNoJitter}.first(periods.size())};
+  }
+};
+
+void expect_same_scratch(const SubtaskScratch& want, const SubtaskScratch& got,
+                         const char* what) {
+  EXPECT_EQ(want.has, got.has) << what;
+  EXPECT_EQ(want.bound, got.bound) << what;
+  EXPECT_EQ(want.busy, got.busy) << what;
+  EXPECT_EQ(want.completions, got.completions) << what;
+}
+
+SubtaskScratch solve_fresh(const KernelCase& c) {
+  SubtaskScratch sc;
+  (void)solve_response_bound(c.eq, c.hp(), &sc, false);
+  return sc;
+}
+
+TEST(DemandKernel, ResponseBoundIntoReusedScratchMatchesFresh) {
+  constexpr Time kCap = 1800;
+  // Victim p=6 e=3 under growing interference (each case dominates the
+  // previous one pointwise, same cap): 1, 3 and 10 instances in the busy
+  // period, then a diverging one (utilization 0.5 + 0.4 + 0.15 > 1).
+  const ResponseEquation victim{.period = 6, .exec = 3, .cap = kCap};
+  const KernelCase light{{5}, {2}, victim};
+  const KernelCase medium{{5, 20}, {2, 1}, victim};
+  const KernelCase heavy{{5, 20}, {2, 2}, victim};
+  const KernelCase diverging{{5, 20}, {2, 3}, victim};
+  const SubtaskScratch fresh_light = solve_fresh(light);
+  const SubtaskScratch fresh_medium = solve_fresh(medium);
+  const SubtaskScratch fresh_heavy = solve_fresh(heavy);
+  ASSERT_LT(fresh_light.completions.size(), fresh_medium.completions.size());
+  ASSERT_LT(fresh_medium.completions.size(), fresh_heavy.completions.size());
+  ASSERT_TRUE(is_infinite(solve_fresh(diverging).bound));
+
+  // Cold over a previous run with more instances, then with fewer.
+  SubtaskScratch reused = fresh_heavy;
+  EXPECT_EQ(solve_response_bound(light.eq, light.hp(), &reused, false),
+            fresh_light.bound);
+  expect_same_scratch(fresh_light, reused, "cold over more instances");
+  EXPECT_EQ(solve_response_bound(medium.eq, medium.hp(), &reused, false),
+            fresh_medium.bound);
+  expect_same_scratch(fresh_medium, reused, "cold over fewer instances");
+
+  // Warm (monotone growth) over fewer instances and over the same count.
+  reused = fresh_light;
+  EXPECT_EQ(solve_response_bound(heavy.eq, heavy.hp(), &reused, true),
+            fresh_heavy.bound);
+  expect_same_scratch(fresh_heavy, reused, "warm over fewer instances");
+  EXPECT_EQ(solve_response_bound(heavy.eq, heavy.hp(), &reused, true),
+            fresh_heavy.bound);
+  expect_same_scratch(fresh_heavy, reused, "warm over the same instances");
+
+  // An unbounded result leaves no completions; a cold solve into that
+  // scratch is a fresh one, and a warm one keeps the divergence.
+  reused = fresh_heavy;
+  EXPECT_TRUE(is_infinite(
+      solve_response_bound(diverging.eq, diverging.hp(), &reused, true)));
+  expect_same_scratch(solve_fresh(diverging), reused, "unbounded over heavy");
+  EXPECT_TRUE(reused.completions.empty());
+  EXPECT_TRUE(is_infinite(
+      solve_response_bound(diverging.eq, diverging.hp(), &reused, true)));
+  EXPECT_EQ(solve_response_bound(medium.eq, medium.hp(), &reused, false),
+            fresh_medium.bound);
+  expect_same_scratch(fresh_medium, reused, "cold after unbounded");
 }
 
 }  // namespace

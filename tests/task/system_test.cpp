@@ -45,6 +45,23 @@ TEST(TaskSystem, PeriodExtremes) {
   EXPECT_EQ(sys.min_period(), 4);
 }
 
+TEST(TaskSystem, HorizonTicksScalesTheMaxPeriod) {
+  const TaskSystem sys = two_processor_system();
+  EXPECT_EQ(sys.horizon_ticks(2.5), 15);
+  EXPECT_EQ(sys.default_horizon(), 180);
+}
+
+TEST(TaskSystem, HorizonTicksSaturatesPastTheTimeRange) {
+  // 30 x 4e17 = 1.2e19 is past 2^63: a bare cast of the product is
+  // undefined (and negative on x86); the horizon saturates instead.
+  TaskSystemBuilder b{1};
+  b.add_task({.period = 400'000'000'000'000'000, .name = "huge"})
+      .subtask(ProcessorId{0}, 1, Priority{0});
+  const TaskSystem sys = std::move(b).build();
+  EXPECT_EQ(sys.default_horizon(), kTimeInfinity);
+  EXPECT_EQ(sys.horizon_ticks(20.0), 8'000'000'000'000'000'000);
+}
+
 TEST(TaskSystem, ContainsChecksBothDimensions) {
   const TaskSystem sys = two_processor_system();
   EXPECT_TRUE(sys.contains(SubtaskRef{TaskId{1}, 1}));

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "task/paper_examples.h"
@@ -424,6 +426,30 @@ TEST(Cli, SimulateWithExecutionVariation) {
       to_text(paper::example2()));
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.out.find("avg EER"), std::string::npos);
+}
+
+TEST(Cli, SimulateHugePeriodFileIsAnInputError) {
+  // The default horizon, 30 x the period 4e17, overflows the 64-bit
+  // time range: simulate must report it like any other bad input
+  // instead of handing the engine a non-positive horizon.
+  const std::filesystem::path path =
+      std::filesystem::path{testing::TempDir()} / "e2e_cli_huge_period.txt";
+  {
+    std::ofstream file{path};
+    file << "e2esync v1\nprocessors 1\n"
+            "task 400000000000000000 0 400000000000000000 0 T1\n"
+            "sub 0 1 0 1 T1\n";
+  }
+  const CliResult r = run_cli({"simulate", path.string()});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("default horizon"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("--horizon=N"), std::string::npos) << r.err;
+  // An explicit horizon inside the range simulates normally.
+  const CliResult bounded = run_cli({"simulate", path.string(), "--horizon=1000"});
+  EXPECT_EQ(bounded.exit_code, 0) << bounded.err;
+  EXPECT_NE(bounded.out.find("horizon 1000"), std::string::npos) << bounded.out;
+  EXPECT_EQ(run_cli({"simulate", path.string(), "--horizon=0"}).exit_code, 1);
+  std::filesystem::remove(path);
 }
 
 TEST(Cli, AdmitAnswersRequestStream) {

@@ -148,6 +148,20 @@ int cmd_simulate(const ArgParser& args, std::istream& in, std::ostream& out,
 
   const ProtocolKind kind = parse_protocol(args.value_string("protocol", "RG"));
   const Time horizon = args.value_int("horizon", system.default_horizon());
+  // The engine adds a period to the last release before comparing it
+  // with the horizon, so the horizon must leave one period of headroom.
+  if (horizon <= 0 || is_infinite(sat_add(horizon, system.max_period()))) {
+    const std::string limit = "leave one maximum period (" +
+                              std::to_string(system.max_period()) +
+                              ") below the 64-bit time limit";
+    if (!args.has("horizon")) {
+      throw InvalidArgument("the default horizon (" +
+                            TextTable::fmt(TaskSystem::kDefaultHorizonPeriods, 0) +
+                            " maximum periods) does not " + limit +
+                            "; pass --horizon=N");
+    }
+    throw InvalidArgument("--horizon must be > 0 and " + limit);
+  }
 
   const auto protocol = make_protocol(kind, system);
   EerCollector eer{system};
