@@ -9,9 +9,10 @@
 //    from scratch on every request -- the obviously-correct baseline;
 //
 //  * the incremental engines answer the same requests by delta analysis:
-//    SA/PM re-solves only the subtask equations whose content signature
-//    changed (the candidate's processors; everything, if the divergence
-//    cap moved), warm-starting the touched fixpoints, and SA/DS seeds the
+//    SA/PM re-solves only the subtask equations the request changed (on
+//    the candidate's processors, the entries at or below its priority and
+//    those whose blocking term moved; everything, if the divergence cap
+//    moved), warm-starting the touched fixpoints, and SA/DS seeds the
 //    IEERT iteration from the previous converged table, forcing exactly
 //    the equation-changed entries and letting the dependency dirty-skip
 //    propagate from there.

@@ -4,40 +4,47 @@
 // equation: (period, exec, jitter, blocking, cap) plus the co-located
 // higher-or-equal-priority interferer parameters. The engine therefore
 // keeps, per processor, a plane of resident subtask entries, and per
-// subtask its equation signature, converged bound and SubtaskScratch
-// fixpoints, and on every request re-solves exactly the entries whose
-// *fresh* signature differs from the stored one:
+// subtask its converged bound, SubtaskScratch fixpoints and the blocking
+// term they were solved with, and on every request re-solves exactly the
+// entries whose equation changed, by a structural rule: an entry of a
+// touched plane is re-solved iff
 //
-//  * admit touches the candidate's processors only (every other entry's
-//    equation -- interferer set, blocking, cap -- is bit-identical, so
-//    signature-exact reuse applies with no monotonicity argument), and
-//    on those only the entries a candidate subtask enters: lower or
-//    equal priority (its hp set) or, for a non-preemptible candidate,
-//    every entry (its blocking term);
+//  * the divergence cap changed; or
+//  * its level is at or below the highest priority (lowest level) of any
+//    subtask the request adds to or removes from that plane -- that
+//    subtask joins or leaves its hp set; or
+//  * its blocking term differs from the stored one -- the only input a
+//    non-preemptible subtask changes above its own level.
+//
+// Every other equation in the system -- interferer set, blocking, cap --
+// is bit-identical, so its stored fixpoints stand with no monotonicity
+// argument. Further:
+//
 //  * admits never shrink demand or the cap, so re-solves warm-start from
 //    the stored fixpoints (monotone warm start; entries whose previous
 //    bound was infinite restart cold, since a larger cap can turn
 //    "unbounded" into a finite bound);
 //  * removes shrink demand, so touched entries restart cold;
 //  * the divergence cap is 300 x the maximum live period; when the
-//    maximum period changes, every signature in the system changes and
+//    maximum period changes, every equation in the system changes and
 //    the sweep widens to all processors -- rare under steady churn.
 //
-// Layout. Each plane entry carries every input another equation reads
-// from it (level, preemptibility, exec, task period and jitter) plus a
-// handle into the task slab, so assembling an equation walks only the
-// contiguous plane. Planes are sorted by (level, slot, chain index):
-// an entry's hp set is a prefix, its blocking term a suffix maximum,
-// and the entries a candidate enters are a suffix too. Task records
-// live in a slab of reusable handles, so a request allocates nothing
-// once the slab, the planes and the per-request buffers have grown to
-// the working set.
+// Layout. Each plane holds its entries (level, preemptibility, slot,
+// chain index and a handle into the task slab) sorted by (level, slot,
+// chain index), with structure-of-arrays columns of the inputs other
+// equations read -- task period, exec, task jitter -- kept in step. An
+// entry's hp set is then two runs of those columns: the prefix before
+// it and the same-level run after it, passed to the kernel as views and
+// never copied. Its blocking term is a suffix maximum, and the entries a
+// change enters are a suffix too. Task records live in a slab of
+// reusable handles, so a request allocates nothing once the slab, the
+// planes and the per-request buffers have grown to the working set.
 //
 // A rejected admit rolls back by swap-restore: before a resident entry
-// is re-solved its scratch is copied into a member snapshot pool (which
-// keeps its capacity), and a rejection swaps every snapshot back; EERs,
-// the failing set and the margin memo are restored from undo records.
-// Trial state never leaks. `query`'s margin is memoised: a refresh that
+// is re-solved its scratch and blocking term are copied into a member
+// snapshot pool (which keeps its capacity), and a rejection swaps every
+// snapshot back; EERs, the failing set and the margin memo are restored
+// from undo records. Trial state never leaks. `query`'s margin is memoised: a refresh that
 // raises a ratio above the maximum moves it, and only when the task
 // holding the maximum leaves or its ratio drops is it recomputed, once,
 // in O(live tasks) on the next query.
@@ -62,10 +69,11 @@ namespace {
 constexpr std::uint32_t kNoTask = std::numeric_limits<std::uint32_t>::max();
 
 /// Per-subtask analysis state. `scratch.bound` is the committed bound
-/// R_{i,j}; `scratch.signature` the equation it was solved for.
+/// R_{i,j}; `blocking` the blocking term it was solved with.
 struct PmSub {
   int processor = -1;
   int level = 0;
+  Duration blocking = 0;
   SubtaskScratch scratch;
 };
 
@@ -79,14 +87,10 @@ struct PmTask {
   std::vector<PmSub> subs;
 };
 
-/// One resident subtask of a processor plane, with the inputs every
-/// other equation on the plane reads from it.
+/// One resident subtask of a processor plane.
 struct PlaneEntry {
   int level = 0;
   bool preemptible = true;
-  Duration exec = 0;
-  Duration period = 0;  ///< the task's period
-  Duration jitter = 0;  ///< the task's release jitter
   std::uint32_t slot = 0;
   std::uint32_t sub = 0;   ///< chain index
   std::uint32_t task = 0;  ///< handle into the task slab
@@ -96,6 +100,41 @@ struct PlaneEntry {
   if (a.level != b.level) return a.level < b.level;
   return a.slot != b.slot ? a.slot < b.slot : a.sub < b.sub;
 }
+
+/// A processor's residents sorted by plane_before, with the inputs other
+/// equations read from them in columns at the same index.
+struct Plane {
+  std::vector<PlaneEntry> entries;
+  std::vector<Duration> periods;  ///< the task's period
+  std::vector<Duration> execs;
+  std::vector<Duration> jitters;  ///< the task's release jitter
+
+  /// Columns [begin, end) as an interference run.
+  [[nodiscard]] HpView run(std::size_t begin, std::size_t end) const {
+    const std::size_t count = end - begin;
+    return HpView{.periods = std::span{periods}.subspan(begin, count),
+                  .execs = std::span{execs}.subspan(begin, count),
+                  .jitters = std::span{jitters}.subspan(begin, count)};
+  }
+
+  void insert(const PlaneEntry& entry, Duration period, Duration exec, Duration jitter) {
+    const auto at = std::upper_bound(entries.begin(), entries.end(), entry, plane_before) -
+                    entries.begin();
+    entries.insert(entries.begin() + at, entry);
+    periods.insert(periods.begin() + at, period);
+    execs.insert(execs.begin() + at, exec);
+    jitters.insert(jitters.begin() + at, jitter);
+  }
+
+  void erase(const PlaneEntry& key) {
+    const auto at = std::lower_bound(entries.begin(), entries.end(), key, plane_before) -
+                    entries.begin();
+    entries.erase(entries.begin() + at);
+    periods.erase(periods.begin() + at);
+    execs.erase(execs.begin() + at);
+    jitters.erase(jitters.begin() + at);
+  }
+};
 
 class IncrementalPmEngine final : public Engine {
  public:
@@ -134,7 +173,9 @@ class IncrementalPmEngine final : public Engine {
     // Roll back: the engine must be bit-identical to before the trial.
     for (std::size_t k = 0; k < snap_count_; ++k) {
       Snapshot& snap = snaps_[k];
-      std::swap(snap.scratch, tasks_[snap.task].subs[snap.sub].scratch);
+      PmSub& sub = tasks_[snap.task].subs[snap.sub];
+      std::swap(snap.scratch, sub.scratch);
+      sub.blocking = snap.blocking;
     }
     for (const auto& [h, eer] : eer_undo_) tasks_[h].eer = eer;
     for (std::size_t k = failing_undo_.size(); k-- > 0;) {
@@ -207,10 +248,11 @@ class IncrementalPmEngine final : public Engine {
     bool stale = false;
   };
 
-  /// A resident scratch as it was before the current trial re-solved it.
+  /// A resident's state as it was before the current trial re-solved it.
   struct Snapshot {
     std::uint32_t task = 0;
     std::uint32_t sub = 0;
+    Duration blocking = 0;
     SubtaskScratch scratch;
   };
 
@@ -220,6 +262,7 @@ class IncrementalPmEngine final : public Engine {
     planes_.resize(processors);
     plane_mark_.resize(processors, 0);
     plane_from_.resize(processors, 0);
+    plane_np_.resize(processors, false);
     ++epoch_;
     touched_.clear();
     dirty_.clear();
@@ -229,92 +272,86 @@ class IncrementalPmEngine final : public Engine {
   }
 
   /// Marks the planes `specs` change and, per plane, the lowest level
-  /// whose equations a changed subtask enters (every level, if one is
-  /// non-preemptible); a cap change marks every entry of every plane.
+  /// whose hp sets a changed subtask enters and whether one is
+  /// non-preemptible (then blocking terms above it may move too); a cap
+  /// change marks every entry of every plane.
   void touch_planes(std::span<const TaskSpec> specs, bool cap_changed) {
-    constexpr int kAllLevels = std::numeric_limits<int>::min();
     if (cap_changed) {
-      for (std::uint32_t p = 0; p < planes_.size(); ++p) {
-        plane_from_[p] = kAllLevels;
-        touched_.push_back(p);
-      }
+      for (std::uint32_t p = 0; p < planes_.size(); ++p) touched_.push_back(p);
       return;
     }
     for (const TaskSpec& spec : specs) {
       for (const SubtaskSpec& sub : spec.subtasks) {
         const auto p = static_cast<std::uint32_t>(sub.processor);
-        const int from = sub.preemptible ? sub.priority_level : kAllLevels;
         if (plane_mark_[p] != epoch_) {
           plane_mark_[p] = epoch_;
-          plane_from_[p] = from;
+          plane_from_[p] = sub.priority_level;
+          plane_np_[p] = !sub.preemptible;
           touched_.push_back(p);
         } else {
-          plane_from_[p] = std::min(plane_from_[p], from);
+          plane_from_[p] = std::min(plane_from_[p], sub.priority_level);
+          plane_np_[p] = plane_np_[p] || !sub.preemptible;
         }
       }
     }
   }
 
-  /// Re-solves every entry of plane `p` at or below its touched level
-  /// whose signature moved. `first_candidate` is set for an admit trial
+  /// Re-solves the entries of plane `p` the structural rule names (see
+  /// the top of the file). `first_candidate` is set for an admit trial
   /// (warm re-solves, residents snapshotted first) and unset for a
   /// remove (cold re-solves, always committed).
   void solve_plane(std::uint32_t p, Time cap, bool cap_changed,
                    std::optional<std::uint32_t> first_candidate) {
-    const std::vector<PlaneEntry>& plane = planes_[p];
-    const std::size_t n = plane.size();
+    const Plane& plane = planes_[p];
+    const std::vector<PlaneEntry>& entries = plane.entries;
+    const std::size_t n = entries.size();
     // blocking_[k]: the largest non-preemptible blocking term among
     // entries k..n-1 -- the blocking of any entry whose hp prefix ends at k.
     blocking_.resize(n + 1);
     blocking_[n] = 0;
     for (std::size_t k = n; k-- > 0;) {
-      blocking_[k] = plane[k].preemptible
+      blocking_[k] = entries[k].preemptible
                          ? blocking_[k + 1]
-                         : std::max(blocking_[k + 1], plane[k].exec - 1);
+                         : std::max(blocking_[k + 1], plane.execs[k] - 1);
     }
     const int from = plane_from_[p];
+    // Entries above `from` keep their hp sets; only a non-preemptible
+    // change can move their blocking terms, so only then are they scanned.
     const std::size_t begin =
-        cap_changed ? 0
-                    : static_cast<std::size_t>(
-                          std::partition_point(plane.begin(), plane.end(),
-                                               [from](const PlaneEntry& e) {
-                                                 return e.level < from;
-                                               }) -
-                          plane.begin());
+        cap_changed || plane_np_[p]
+            ? 0
+            : static_cast<std::size_t>(
+                  std::partition_point(entries.begin(), entries.end(),
+                                       [from](const PlaneEntry& e) {
+                                         return e.level < from;
+                                       }) -
+                  entries.begin());
     std::size_t hp_end = begin;  // first entry of strictly lower priority
     for (std::size_t i = begin; i < n; ++i) {
-      const PlaneEntry& entry = plane[i];
-      while (hp_end < n && plane[hp_end].level <= entry.level) ++hp_end;
-      hp_periods_.clear();
-      hp_execs_.clear();
-      hp_jitters_.clear();
-      for (std::size_t k = 0; k < hp_end; ++k) {  // the paper's H set
-        if (k == i) continue;
-        hp_periods_.push_back(plane[k].period);
-        hp_execs_.push_back(plane[k].exec);
-        hp_jitters_.push_back(plane[k].jitter);
-      }
-      const ResponseEquation eq{.period = entry.period,
-                                .exec = entry.exec,
-                                .jitter = entry.jitter,
-                                .blocking = blocking_[hp_end],
-                                .cap = cap};
-      const HpView hp{hp_periods_, hp_execs_, hp_jitters_};
-      const std::uint64_t sig = response_equation_signature(eq, hp);
-      SubtaskScratch& scratch = tasks_[entry.task].subs[entry.sub].scratch;
-      if (scratch.has && sig == scratch.signature) continue;
+      const PlaneEntry& entry = entries[i];
+      while (hp_end < n && entries[hp_end].level <= entry.level) ++hp_end;
+      const Duration blocking = blocking_[hp_end];
+      PmSub& sub = tasks_[entry.task].subs[entry.sub];
+      if (!cap_changed && entry.level < from && blocking == sub.blocking) continue;
       bool warm = false;
       if (first_candidate.has_value()) {
         if (entry.slot < *first_candidate) snapshot(entry.task, entry.sub);
         // Admits only grow demand and the cap, so finite fixpoints
         // warm-start; a previously unbounded entry must restart cold.
-        warm = scratch.has && !is_infinite(scratch.bound);
+        warm = sub.scratch.has && !is_infinite(sub.scratch.bound);
       }
       // On a remove demand shrank: the old fixpoint over-approximates,
-      // so the solve restarts cold (signature-exact reuse above needs no
-      // such care).
-      (void)solve_response_bound(eq, hp, &scratch, warm);
-      scratch.signature = sig;
+      // so the solve restarts cold.
+      const ResponseEquation eq{.period = plane.periods[i],
+                                .exec = plane.execs[i],
+                                .jitter = plane.jitters[i],
+                                .blocking = blocking,
+                                .cap = cap};
+      // The paper's H set: every entry before this one, plus the rest of
+      // its level.
+      const HpRuns hp{plane.run(0, i), plane.run(i + 1, hp_end)};
+      (void)solve_response_bound(eq, hp, &sub.scratch, warm);
+      sub.blocking = blocking;
       PmTask& task = tasks_[entry.task];
       if (task.mark != epoch_) {
         task.mark = epoch_;
@@ -328,10 +365,11 @@ class IncrementalPmEngine final : public Engine {
     Snapshot& snap = snaps_[snap_count_++];
     snap.task = task;
     snap.sub = sub;
+    snap.blocking = tasks_[task].subs[sub].blocking;
     snap.scratch = tasks_[task].subs[sub].scratch;  // reuses snap's capacity
   }
 
-  /// Same expression as analyze_sa_pm's cap so signatures agree with the
+  /// Same expression as analyze_sa_pm's cap so bounds agree with the
   /// offline analysis of the identical system.
   [[nodiscard]] Time cap_from_periods() const {
     return sat_scale(SaPmOptions{}.cap_period_multiplier, max_period_);
@@ -403,15 +441,11 @@ class IncrementalPmEngine final : public Engine {
       rec.scratch.has = false;  // the first solve is cold and overwrites it
       const PlaneEntry entry{.level = sub.priority_level,
                              .preemptible = sub.preemptible,
-                             .exec = sub.execution_time,
-                             .period = spec.period,
-                             .jitter = spec.release_jitter,
                              .slot = slot,
                              .sub = j,
                              .task = h};
-      auto& plane = planes_[static_cast<std::size_t>(sub.processor)];
-      plane.insert(std::upper_bound(plane.begin(), plane.end(), entry, plane_before),
-                   entry);
+      planes_[static_cast<std::size_t>(sub.processor)].insert(
+          entry, spec.period, sub.execution_time, spec.release_jitter);
     }
     by_slot_.emplace_back(slot, h);
     count_period(spec.period);
@@ -422,8 +456,7 @@ class IncrementalPmEngine final : public Engine {
     const PmTask& task = tasks_[h];
     for (std::uint32_t j = 0; j < task.subs.size(); ++j) {
       const PlaneEntry key{.level = task.subs[j].level, .slot = task.slot, .sub = j};
-      auto& plane = planes_[static_cast<std::size_t>(task.subs[j].processor)];
-      plane.erase(std::lower_bound(plane.begin(), plane.end(), key, plane_before));
+      planes_[static_cast<std::size_t>(task.subs[j].processor)].erase(key);
     }
     free_tasks_.push_back(h);
   }
@@ -469,7 +502,7 @@ class IncrementalPmEngine final : public Engine {
   std::vector<std::uint32_t> free_tasks_;  // handles of departed tasks
   /// (slot, handle) of every live task and trial candidate, ascending.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> by_slot_;
-  std::vector<std::vector<PlaneEntry>> planes_;  // per processor, plane_before
+  std::vector<Plane> planes_;  // per processor
   Duration max_period_ = 0;
   std::size_t max_period_count_ = 0;  // live tasks with max_period_
   std::vector<std::uint32_t> failing_;  // sorted slots of unschedulable tasks
@@ -480,6 +513,7 @@ class IncrementalPmEngine final : public Engine {
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> plane_mark_;  // == epoch_: plane touched
   std::vector<int> plane_from_;            // lowest touched level per plane
+  std::vector<bool> plane_np_;             // a touched subtask is non-preemptible
   std::vector<std::uint32_t> touched_;
   std::vector<std::uint32_t> dirty_;  // tasks with a re-solved subtask
   std::vector<Snapshot> snaps_;       // pool; the first snap_count_ are live
@@ -487,9 +521,6 @@ class IncrementalPmEngine final : public Engine {
   std::vector<std::pair<std::uint32_t, Duration>> eer_undo_;
   std::vector<std::pair<std::uint32_t, bool>> failing_undo_;  // (slot, was)
   std::vector<Duration> blocking_;
-  std::vector<Duration> hp_periods_;
-  std::vector<Duration> hp_execs_;
-  std::vector<Duration> hp_jitters_;
 };
 
 }  // namespace

@@ -13,9 +13,10 @@
 
 namespace e2e {
 
-/// ceil(a / b) for a >= 0, b > 0.
+/// ceil(a / b) for a >= 0, b > 0. Never overflows, also for a near the
+/// top of the range (a saturated kTimeInfinity numerator included).
 [[nodiscard]] constexpr std::int64_t ceil_div(std::int64_t a, std::int64_t b) noexcept {
-  return (a + b - 1) / b;
+  return a / b + (a % b != 0);
 }
 
 /// floor(a / b) for a >= 0, b > 0.

@@ -23,6 +23,7 @@
 #include "common/error.h"
 #include "common/ids.h"
 #include "common/time.h"
+#include "core/analysis/demand.h"
 #include "task/system.h"
 
 namespace e2e {
@@ -58,12 +59,7 @@ class InterferenceMap {
   /// flat storage, in of()'s order. `jitters` holds the interferers' task
   /// release jitters (the jitter term SA/PM uses; IEERT substitutes its
   /// own per-pass jitter vector of the same length).
-  struct SoaView {
-    std::span<const Duration> periods;
-    std::span<const Duration> execs;
-    std::span<const Duration> jitters;
-    [[nodiscard]] std::size_t size() const noexcept { return periods.size(); }
-  };
+  using SoaView = SoaRun;
   [[nodiscard]] SoaView soa_of(SubtaskRef ref) const {
     const std::size_t f = flat_index(ref);
     const std::size_t begin = range_begin_[f];

@@ -33,7 +33,7 @@ std::uint64_t response_equation_signature(const ResponseEquation& eq,
   return h;
 }
 
-Duration solve_response_bound(const ResponseEquation& eq, const HpView& hp,
+Duration solve_response_bound(const ResponseEquation& eq, const HpRuns& hp,
                               SubtaskScratch* sc, bool warm) {
   const Duration period = eq.period;
   const Duration exec = eq.exec;
@@ -56,12 +56,42 @@ Duration solve_response_bound(const ResponseEquation& eq, const HpView& hp,
     }
     return kTimeInfinity;
   };
+  std::vector<Time>* completions = sc != nullptr ? &sc->completions : nullptr;
+  const auto completion_of = [&](std::int64_t m, Time start) {
+    const DemandEvaluator completion_eval{
+        .hp = hp.head,
+        .hp_tail = hp.tail,
+        .constant = sat_add(blocking, sat_mul(m, exec)),
+    };
+    return solve_fixpoint_from(start, completion_eval, fp);
+  };
+
+  // Step 3 for m = 1, ahead of steps 1-2. On (0, p - J] the busy-period
+  // demand (self term ceil((t + J)/p) * e = e) and C(1)'s demand are the
+  // same function, and the busy demand dominates it everywhere else, so
+  // when C(1) + J <= p, C(1) is the busy period's least fixpoint and the
+  // busy period holds exactly one instance. Its iteration would stay at
+  // or below C(1) <= cap, one tick or more per step, so it could neither
+  // diverge nor run out of iterations while C(1) < max_iterations.
+  Time start = exec;
+  if (warm && !completions->empty()) start = std::max(start, completions->front());
+  const std::optional<Time> first = completion_of(1, start);
+  if (!first) return record_unbounded();
+  const Duration first_bound = sat_add(*first, jitter);
+  if (first_bound <= period && *first < fp.max_iterations) {
+    if (sc != nullptr) {
+      sc->has = true;
+      sc->busy = *first;
+      sc->bound = first_bound;
+      completions->assign(1, *first);  // keeps the capacity
+    }
+    return first_bound;
+  }
 
   // Step 1: busy-period duration D_{i,j} (interference set plus self).
   const DemandEvaluator busy_eval{
-      .periods = hp.periods,
-      .execs = hp.execs,
-      .jitters = hp.jitters,
+      .hp = hp.head,
+      .hp_tail = hp.tail,
       .constant = blocking,
       .self_period = period,
       .self_exec = exec,
@@ -83,24 +113,21 @@ Duration solve_response_bound(const ResponseEquation& eq, const HpView& hp,
   // from the previous completion (and, when warm, from the previous
   // run's C(m) -- also <= the new least fixpoint). The fixpoints are
   // written over the scratch's own vector in place: C(m)'s warm seed is
-  // read before slot m-1 is overwritten, and the capacity is kept.
+  // read before slot m-1 is overwritten, and the capacity is kept. C(1)
+  // is the one solved above.
   Duration worst = 0;
   Time previous_completion = 0;
-  std::vector<Time>* completions = sc != nullptr ? &sc->completions : nullptr;
   for (std::int64_t m = 1; m <= instances; ++m) {
     const auto slot = static_cast<std::size_t>(m - 1);
-    Time start = std::max(sat_mul(m, exec), sat_add(previous_completion, exec));
-    if (warm && slot < completions->size()) {
-      start = std::max(start, (*completions)[slot]);
+    std::optional<Time> completion = first;
+    if (m > 1) {
+      start = std::max(sat_mul(m, exec), sat_add(previous_completion, exec));
+      if (warm && slot < completions->size()) {
+        start = std::max(start, (*completions)[slot]);
+      }
+      completion = completion_of(m, start);
+      if (!completion) return record_unbounded();
     }
-    const DemandEvaluator completion_eval{
-        .periods = hp.periods,
-        .execs = hp.execs,
-        .jitters = hp.jitters,
-        .constant = sat_add(blocking, sat_mul(m, exec)),
-    };
-    const std::optional<Time> completion = solve_fixpoint_from(start, completion_eval, fp);
-    if (!completion) return record_unbounded();
     previous_completion = *completion;
     if (completions != nullptr) {
       if (slot < completions->size()) {
@@ -136,9 +163,7 @@ Duration solve_ieer_bound(const IeerEquation& eq, const HpView& hp,
 
   // Step 1: busy-period duration with jittered ceilings (self included).
   const DemandEvaluator busy_eval{
-      .periods = hp.periods,
-      .execs = hp.execs,
-      .jitters = hp.jitters,
+      .hp = hp,
       .constant = blocking,
       .self_period = period,
       .self_exec = exec,
@@ -175,9 +200,7 @@ Duration solve_ieer_bound(const IeerEquation& eq, const HpView& hp,
       start = std::max(start, warm->completions[static_cast<std::size_t>(m - 1)]);
     }
     const DemandEvaluator completion_eval{
-        .periods = hp.periods,
-        .execs = hp.execs,
-        .jitters = hp.jitters,
+        .hp = hp,
         .constant = sat_add(blocking, sat_mul(m, exec)),
     };
     const std::optional<Time> completion = solve_fixpoint_from(start, completion_eval, fp);

@@ -30,6 +30,16 @@ namespace e2e {
 /// spans over their own flat arrays.
 using HpView = InterferenceMap::SoaView;
 
+/// An interference set held as two runs of SoA storage, summed `head`
+/// first. One run converts implicitly; the SA/PM admission engine passes
+/// the plane prefix before an entry and the same-level run after it, so
+/// no set is ever copied.
+struct HpRuns {
+  HpView head;
+  HpView tail;
+  HpRuns(const HpView& h, const HpView& t = {}) : head(h), tail(t) {}
+};
+
 /// Scalar inputs of one SA/PM subtask equation (steps 1-4).
 struct ResponseEquation {
   Duration period = 0;    ///< p_i
@@ -43,7 +53,7 @@ struct ResponseEquation {
 /// 1-4 fixpoints read. Equal signatures mean equal equations, hence equal
 /// least fixpoints. Note the hash folds the interferers in span order, so
 /// signatures are only comparable between runs that enumerate the same
-/// storage (which is how both sa_pm.cpp and the admission engine use it).
+/// storage (which is how sa_pm.cpp uses it).
 [[nodiscard]] std::uint64_t response_equation_signature(const ResponseEquation& eq,
                                                         const HpView& hp);
 
@@ -55,8 +65,13 @@ struct ResponseEquation {
 /// value is <= the new least fixpoint under the caller's monotonicity
 /// promise, so the iteration still converges to exactly the new least
 /// fixpoint).
+///
+/// C(1) is solved first: when C(1) + J <= p the busy period holds one
+/// instance and equals C(1), so no busy-period fixpoint is iterated (see
+/// docs/analysis.md for the proof). The results are those of the
+/// textbook order -- busy period, instance count, C(1..M).
 [[nodiscard]] Duration solve_response_bound(const ResponseEquation& eq,
-                                            const HpView& hp, SubtaskScratch* sc,
+                                            const HpRuns& hp, SubtaskScratch* sc,
                                             bool warm);
 
 /// Scalar inputs of one IEERT subtask equation. `hp` carries the per-pass

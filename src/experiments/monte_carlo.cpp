@@ -1,10 +1,12 @@
 #include "experiments/monte_carlo.h"
 
 #include <optional>
+#include <sstream>
 #include <utility>
 
 #include "common/error.h"
 #include "common/hash.h"
+#include "common/math.h"
 #include "core/analysis/cache.h"
 #include "core/protocols/phase_modification.h"
 #include "core/protocols/release_guard.h"
@@ -100,6 +102,21 @@ MonteCarloResult estimate_latency(const TaskSystem& system, ProtocolKind kind,
   // thread count, reuses the bounds).
   const AnalysisResult bounds = *AnalysisCache::shared().sa_pm(system);
   const Time horizon = system.horizon_ticks(options.horizon_periods);
+  // Each run simulates to its largest phase plus the horizon, and the
+  // engine adds a period to the last release before comparing it with
+  // that end: all of it must fit in the time range (the input check
+  // `e2e simulate` makes). Randomized phases stay below their periods.
+  const Time last_phase =
+      options.randomize_phases ? system.max_period() - 1 : system.max_phase();
+  if (horizon <= 0 ||
+      is_infinite(sat_add(sat_add(last_phase, horizon), system.max_period()))) {
+    std::ostringstream message;
+    message << "a horizon of " << options.horizon_periods
+            << " maximum periods does not leave one maximum period ("
+            << system.max_period()
+            << ") below the 64-bit time limit; lower horizon-periods";
+    throw InvalidArgument(message.str());
+  }
 
   // One RNG stream per run, forked serially in index order before any
   // worker starts (the executor's fork_streams contract).

@@ -63,7 +63,9 @@ struct MonteCarloResult {
 };
 
 /// Estimates the latency profile of `system` under `kind` on a transient
-/// executor of `options.threads` workers.
+/// executor of `options.threads` workers. Throws InvalidArgument when the
+/// horizon is empty or, with the largest phase and one maximum period on
+/// top, leaves the 64-bit time range.
 [[nodiscard]] MonteCarloResult estimate_latency(const TaskSystem& system,
                                                 ProtocolKind kind,
                                                 const MonteCarloOptions& options = {});

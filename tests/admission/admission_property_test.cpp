@@ -251,6 +251,151 @@ TEST(AdmissionProperty, MarginMatchesFullRecomputeAfterEveryRequest) {
   EXPECT_TRUE(moved_cap);
 }
 
+// The incremental SA/PM engine re-solves an entry iff the cap changed,
+// its level is at or below the highest-priority change on its plane, or
+// its blocking term moved. Non-preemptible (NP) changes are where the
+// last clause matters: an NP subtask changes the blocking of every entry
+// above it. Full recompute after every request (bounds hash and query
+// margin) must agree.
+class PmLockstep {
+ public:
+  explicit PmLockstep(std::size_t processors) : full_{options(processors, true)},
+                                                incremental_{options(processors, false)} {}
+
+  template <class Op>
+  Outcome step(Op&& op) {
+    const Outcome a = op(full_);
+    const Outcome b = op(incremental_);
+    expect_equal_outcomes(a, b, requests_);
+    EXPECT_EQ(full_.result_hash(), incremental_.result_hash()) << "request " << requests_;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(full_.query().margin),
+              std::bit_cast<std::uint64_t>(incremental_.query().margin))
+        << "request " << requests_;
+    ++requests_;
+    return a;
+  }
+  Outcome admit(const TaskSpec& spec) {
+    return step([&](AdmissionController& c) { return c.admit(spec); });
+  }
+  Outcome remove(const std::string& name) {
+    return step([&](AdmissionController& c) { return c.remove(name); });
+  }
+  Outcome submit(const Request& request) {
+    return step([&](AdmissionController& c) { return c.submit(request); });
+  }
+  Outcome batch(const std::vector<TaskSpec>& specs) {
+    EXPECT_TRUE(step([](AdmissionController& c) { return c.batch_begin(); }).accepted);
+    for (const TaskSpec& spec : specs) (void)admit(spec);
+    return step([](AdmissionController& c) { return c.batch_commit(); });
+  }
+
+ private:
+  static ControllerOptions options(std::size_t processors, bool full_recompute) {
+    ControllerOptions options;
+    options.policy = Policy::kPm;
+    options.processors = processors;
+    options.full_recompute = full_recompute;
+    return options;
+  }
+
+  AdmissionController full_;
+  AdmissionController incremental_;
+  std::size_t requests_ = 0;
+};
+
+TaskSpec pm_task(std::string name, Duration period, std::vector<SubtaskSpec> subtasks,
+                 Duration deadline = 0) {
+  TaskSpec spec;
+  spec.name = std::move(name);
+  spec.period = period;
+  spec.deadline = deadline;
+  spec.subtasks = std::move(subtasks);
+  return spec;
+}
+
+SubtaskSpec np(int processor, Duration exec, int level) {
+  return {.processor = processor, .execution_time = exec, .priority_level = level,
+          .preemptible = false};
+}
+
+TEST(AdmissionProperty, NonPreemptibleChangesMatchFullRecompute) {
+  PmLockstep lockstep{2};
+  // Processor 0, by level: top 1, chain 3, mid 5, low_np 9 (NP, blocking
+  // 49 for every entry above it).
+  ASSERT_TRUE(lockstep.admit(pm_task("top", 200, {{0, 10, 1}})).accepted);
+  ASSERT_TRUE(lockstep.admit(pm_task("mid", 500, {{0, 20, 5}})).accepted);
+  ASSERT_TRUE(lockstep.admit(pm_task("low_np", 1000, {np(0, 50, 9)})).accepted);
+  ASSERT_TRUE(lockstep.admit(pm_task("chain", 600, {{1, 30, 2}, {0, 10, 3}})).accepted);
+  ASSERT_TRUE(lockstep.admit(pm_task("other", 800, {{1, 40, 4}})).accepted);
+
+  // One batch: an NP subtask at high priority (top's blocking 49 -> 59)
+  // and a preemptible one lower on the same plane.
+  EXPECT_TRUE(lockstep
+                  .batch({pm_task("hi_np", 600, {np(0, 60, 2)}),
+                          pm_task("lo_p", 300, {{0, 15, 7}})})
+                  .accepted);
+  // The reverse: an NP subtask below a preemptible one. The highest
+  // changed level is 6; the blocking of every entry above it rises to 69.
+  EXPECT_TRUE(lockstep
+                  .batch({pm_task("np_big", 2000, {np(0, 70, 8)}),
+                          pm_task("p_mid", 700, {{0, 10, 6}})})
+                  .accepted);
+  // An NP candidate whose blocking does not rise: np_big (69) already
+  // blocks every entry above level 4.
+  EXPECT_TRUE(lockstep.admit(pm_task("np_small", 500, {np(0, 5, 4)})).accepted);
+  // A rejected NP trial raises every blocking above level 10 to 89; the
+  // rollback must restore the blocking terms stored with the scratches,
+  // or the same subtask admitted next (loose deadline) would leave the
+  // entries above it unsolved. The period stays at the maximum, 2000, so
+  // the cap does not move (a cap move re-solves everything).
+  const Outcome rejected = lockstep.admit(pm_task("np_fail", 2000, {np(0, 90, 10)}, 95));
+  EXPECT_FALSE(rejected.accepted);
+  EXPECT_EQ(rejected.reason, ReasonCode::kBoundFailure);
+  EXPECT_TRUE(rejected.culprit_is_candidate);
+  EXPECT_TRUE(lockstep.admit(pm_task("np_fail", 2000, {np(0, 90, 10)})).accepted);
+
+  // The remove of each, NP ones first (blocking falls back step by step).
+  for (const char* name :
+       {"np_small", "np_fail", "hi_np", "np_big", "lo_p", "p_mid", "low_np", "chain"}) {
+    EXPECT_TRUE(lockstep.remove(name).accepted) << name;
+  }
+}
+
+// Churn streams with a third of all subtasks non-preemptible (the
+// generator's default is 5%), batches included.
+TEST(AdmissionProperty, NonPreemptibleChurnMatchesFullRecompute) {
+  for (const std::uint64_t seed : {0x0B10C4u, 20261019u}) {
+    ChurnShape shape;
+    shape.processors = 6;
+    shape.initial_admits = 50;
+    shape.requests = 240;
+    shape.max_sub_utilization = 0.05;
+    shape.batch_fraction = 0.3;
+    shape.max_batch = 3;
+    Rng rng{seed};
+    std::vector<Request> stream = generate_churn(rng, shape);
+    for (Request& request : stream) {
+      for (SubtaskSpec& sub : request.task.subtasks) {
+        sub.preemptible = rng.uniform_int(0, 2) != 0;
+      }
+    }
+    PmLockstep lockstep{shape.processors};
+    std::size_t np_accepts = 0;
+    std::size_t np_rejects = 0;
+    for (const Request& request : stream) {
+      const Outcome outcome = lockstep.submit(request);
+      const bool has_np = std::any_of(request.task.subtasks.begin(),
+                                      request.task.subtasks.end(),
+                                      [](const SubtaskSpec& sub) { return !sub.preemptible; });
+      if (request.verb != Verb::kAdmit || !has_np) continue;
+      np_accepts += outcome.accepted && outcome.reason != ReasonCode::kQueued;
+      np_rejects += outcome.reason == ReasonCode::kBoundFailure;
+    }
+    EXPECT_GE(np_accepts, 10u) << "seed " << seed;
+    EXPECT_GE(np_rejects, 10u) << "seed " << seed;
+  }
+}
+
 TEST(AdmissionProperty, ShardedReplayIsThreadCountInvariant) {
   constexpr std::size_t kShards = 6;
   ChurnShape shape;

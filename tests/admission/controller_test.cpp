@@ -347,5 +347,34 @@ TEST(Controller, FullAndIncrementalAgreeOnHandcraftedStream) {
   }
 }
 
+// Two tasks of utilization 0.25 each, period 4e18 and jitter 3e18: b's
+// busy-period iterates plus the jitter pass 2^63 - 1, where a ceil_div
+// of the form (a + b - 1) / b wraps into a negative demand (an assertion
+// abort, UB under UBSan). Every policy, incremental and full recompute,
+// must bound b instead: C(1) = 3e18, busy period 4e18, C(2) = 4e18, so
+// R = max(3e18 + 3e18, 4e18 + 3e18 - 4e18) = 6e18 > the 4e18 deadline.
+TEST(Controller, JitteredDemandNearTheTimeLimitIsBounded) {
+  constexpr Duration kPeriod = 4'000'000'000'000'000'000;
+  constexpr Duration kExec = 1'000'000'000'000'000'000;
+  const auto task = [&](std::string name, int level) {
+    TaskSpec spec = make_spec(std::move(name), kPeriod, {{0, kExec, level}});
+    spec.release_jitter = 3'000'000'000'000'000'000;
+    return spec;
+  };
+  for (const Policy policy : {Policy::kPm, Policy::kDs, Policy::kHolistic}) {
+    for (const bool full_recompute : {false, true}) {
+      ControllerOptions options = pm_options(1);
+      options.policy = policy;
+      options.full_recompute = full_recompute;
+      AdmissionController controller{options};
+      EXPECT_TRUE(controller.admit(task("a", 0)).accepted) << to_string(policy);
+      const Outcome b = controller.admit(task("b", 1));
+      EXPECT_FALSE(b.accepted) << to_string(policy);
+      EXPECT_EQ(b.reason, ReasonCode::kBoundFailure) << to_string(policy);
+      EXPECT_EQ(b.culprit_eer, 6'000'000'000'000'000'000) << to_string(policy);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace e2e::admission

@@ -7,11 +7,14 @@
 // (tests/support/reference_analysis).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/rng.h"
+#include "core/analysis/demand.h"
 #include "core/analysis/fixpoint.h"
 #include "core/analysis/kernels.h"
 #include "core/analysis/sa_ds.h"
@@ -23,8 +26,11 @@
 namespace e2e {
 namespace {
 
+using test_support::reference_response_bound;
 using test_support::reference_sa_ds;
 using test_support::reference_sa_pm;
+using test_support::ReferenceInterferer;
+using test_support::ReferenceResponse;
 
 constexpr int kSystems = 200;
 
@@ -203,6 +209,168 @@ TEST(DemandKernel, ResponseBoundIntoReusedScratchMatchesFresh) {
   EXPECT_EQ(solve_response_bound(medium.eq, medium.hp(), &reused, false),
             fresh_medium.bound);
   expect_same_scratch(fresh_medium, reused, "cold after unbounded");
+}
+
+// solve_response_bound solves C(1) first and, when C(1) + J <= p, takes
+// it as the busy period with one instance. Differential check against the
+// textbook two-fixpoint order (busy period, instance count, C(1..M)):
+// random equations plus the boundaries C(1) + J = p and = p + 1, J >= p,
+// blocking, caps that cut C(1), warm seeds from a dominated equation, and
+// the interference set split into two runs at every position. Bound, busy
+// period and every completion fixpoint must be equal.
+struct RandomEquation {
+  ResponseEquation eq;
+  std::vector<ReferenceInterferer> hp;
+};
+
+RandomEquation random_equation(Rng& rng) {
+  RandomEquation r;
+  const auto count = rng.uniform_int(0, 5);
+  for (std::int64_t k = 0; k < count; ++k) {
+    const Duration period = rng.uniform_int(3, 60);
+    r.hp.push_back({.period = period,
+                    .exec = rng.uniform_int(1, std::max<Duration>(1, period / 3)),
+                    .jitter = rng.uniform_int(0, 3) == 0 ? rng.uniform_int(0, period) : 0});
+  }
+  r.eq.period = rng.uniform_int(4, 80);
+  r.eq.exec = rng.uniform_int(1, std::max<Duration>(1, r.eq.period / 2));
+  r.eq.jitter = rng.uniform_int(0, 2) == 0 ? rng.uniform_int(0, r.eq.period) : 0;
+  r.eq.blocking = rng.uniform_int(0, 2) == 0 ? rng.uniform_int(1, 12) : 0;
+  r.eq.cap = 300 * 80;
+  return r;
+}
+
+/// C(1) alone (it does not depend on the subtask's own period or
+/// jitter), or 0 if it diverges.
+Time first_completion(const RandomEquation& r) {
+  const ReferenceResponse alone = reference_response_bound(
+      kTimeInfinity / 4, r.eq.exec, 0, r.eq.blocking, r.eq.cap, r.hp);
+  return alone.completions.empty() ? 0 : alone.completions.front();
+}
+
+struct Columns {
+  std::vector<Duration> periods, execs, jitters;
+  explicit Columns(const std::vector<ReferenceInterferer>& hp) {
+    for (const ReferenceInterferer& k : hp) {
+      periods.push_back(k.period);
+      execs.push_back(k.exec);
+      jitters.push_back(k.jitter);
+    }
+  }
+  [[nodiscard]] HpView run(std::size_t begin, std::size_t end) const {
+    return HpView{.periods = std::span{periods}.subspan(begin, end - begin),
+                  .execs = std::span{execs}.subspan(begin, end - begin),
+                  .jitters = std::span{jitters}.subspan(begin, end - begin)};
+  }
+};
+
+void expect_matches_reference(const RandomEquation& r, const SubtaskScratch& sc,
+                              Duration bound, const char* what, int i) {
+  const ReferenceResponse want = reference_response_bound(
+      r.eq.period, r.eq.exec, r.eq.jitter, r.eq.blocking, r.eq.cap, r.hp);
+  ASSERT_EQ(bound, want.bound) << what << ", equation " << i;
+  ASSERT_TRUE(sc.has) << what << ", equation " << i;
+  ASSERT_EQ(sc.bound, want.bound) << what << ", equation " << i;
+  ASSERT_EQ(sc.busy, want.busy) << what << ", equation " << i;
+  ASSERT_EQ(sc.completions, want.completions) << what << ", equation " << i;
+}
+
+TEST(DemandKernel, ResponseBoundMatchesTwoFixpointReference) {
+  Rng rng{0x5AFE1u};
+  int one_instance = 0;
+  int several = 0;
+  int unbounded = 0;
+  int boundary_equal = 0;
+  int boundary_over = 0;
+  int warm = 0;
+  for (int i = 0; i < 6000; ++i) {
+    RandomEquation r = random_equation(rng);
+    const Time c1 = first_completion(r);
+    switch (c1 > 0 ? i % 6 : -1) {
+      case 0:  // C(1) + J = p: one instance, the shortcut's edge
+        r.eq.jitter = rng.uniform_int(0, 5);
+        r.eq.period = c1 + r.eq.jitter;
+        ++boundary_equal;
+        break;
+      case 1:  // C(1) + J = p + 1: the busy period is solved
+        r.eq.jitter = rng.uniform_int(1, std::max<Time>(1, c1));
+        r.eq.period = c1 + r.eq.jitter - 1;
+        ++boundary_over;
+        break;
+      case 2:  // J >= p
+        r.eq.jitter = r.eq.period + rng.uniform_int(0, 20);
+        break;
+      case 3:  // a cap that cuts C(1) or sits right on it
+        r.eq.cap = c1 - rng.uniform_int(0, 1);
+        break;
+      default:
+        break;
+    }
+    const Columns columns{r.hp};
+    const std::size_t n = r.hp.size();
+    const ReferenceResponse want = reference_response_bound(
+        r.eq.period, r.eq.exec, r.eq.jitter, r.eq.blocking, r.eq.cap, r.hp);
+    if (is_infinite(want.bound)) {
+      ++unbounded;
+    } else if (want.completions.size() == 1) {
+      ++one_instance;
+    } else {
+      ++several;
+    }
+
+    // Cold, into a fresh scratch and over one left by another equation,
+    // with the set split into two runs at every position.
+    SubtaskScratch reused;
+    (void)solve_response_bound(random_equation(rng).eq, columns.run(0, n), &reused,
+                               false);
+    for (std::size_t cut = 0; cut <= n; ++cut) {
+      const HpRuns hp{columns.run(0, cut), columns.run(cut, n)};
+      SubtaskScratch fresh;
+      expect_matches_reference(r, fresh, solve_response_bound(r.eq, hp, &fresh, false),
+                               "cold", i);
+      expect_matches_reference(r, reused,
+                               solve_response_bound(r.eq, hp, &reused, false),
+                               "cold over a used scratch", i);
+    }
+    EXPECT_EQ(solve_response_bound(r.eq, columns.run(0, n), nullptr, false), want.bound);
+
+    // Warm from a dominated equation: smaller execution times and
+    // jitters, less blocking, the same cap.
+    RandomEquation weaker = r;
+    weaker.eq.exec = rng.uniform_int(1, r.eq.exec);
+    weaker.eq.jitter = rng.uniform_int(0, r.eq.jitter);
+    weaker.eq.blocking = rng.uniform_int(0, r.eq.blocking);
+    for (ReferenceInterferer& k : weaker.hp) k.exec = rng.uniform_int(1, k.exec);
+    const Columns weaker_columns{weaker.hp};
+    SubtaskScratch seeded;
+    (void)solve_response_bound(weaker.eq, weaker_columns.run(0, n), &seeded, false);
+    if (!is_infinite(seeded.bound)) ++warm;
+    const HpRuns hp{columns.run(0, n / 2), columns.run(n / 2, n)};
+    expect_matches_reference(r, seeded, solve_response_bound(r.eq, hp, &seeded, true),
+                             "warm", i);
+  }
+  // Every path was taken, many times.
+  EXPECT_GT(one_instance, 500);
+  EXPECT_GT(several, 500);
+  EXPECT_GT(unbounded, 500);
+  EXPECT_GT(boundary_equal, 500);
+  EXPECT_GT(boundary_over, 500);
+  EXPECT_GT(warm, 3000);
+}
+
+// ceil_div must not compute a + b - 1, which wraps for a numerator near
+// the top of the range: the demand of a huge-period task saturates and
+// never goes negative.
+TEST(DemandKernel, JitteredDemandNearTheTimeLimitDoesNotWrap) {
+  constexpr Duration kPeriod = 4'000'000'000'000'000'000;
+  constexpr Duration kExec = 1'000'000'000'000'000'000;
+  // t + J saturates to kTimeInfinity: ceil(kTimeInfinity / 4e18) = 3.
+  EXPECT_EQ(jittered_demand(6'000'000'000'000'000'000, 3'000'000'000'000'000'000,
+                            kPeriod, kExec),
+            3 * kExec);
+  EXPECT_EQ(jittered_demand(kTimeInfinity - 1, 0, kPeriod, kExec), 3 * kExec);
+  EXPECT_EQ(ceil_div(kTimeInfinity, 1), kTimeInfinity);
+  EXPECT_EQ(ceil_div(kTimeInfinity - 1, kTimeInfinity), 1);
 }
 
 }  // namespace

@@ -132,6 +132,43 @@ Duration reference_ieer(const TaskSystem& system, const Subtask& s,
 
 }  // namespace
 
+ReferenceResponse reference_response_bound(Duration period, Duration exec,
+                                           Duration jitter, Duration blocking, Time cap,
+                                           const std::vector<ReferenceInterferer>& hp) {
+  const auto interference = [&hp](Time t) {
+    Duration sum = 0;
+    for (const ReferenceInterferer& k : hp) {
+      sum = sat_add(sum, ceiling_term(t, k.jitter, k.period, k.exec));
+    }
+    return sum;
+  };
+  ReferenceResponse out;
+  const std::optional<Time> busy = least_fixpoint(1, cap, [&](Time t) {
+    return sat_add(sat_add(blocking, ceiling_term(t, jitter, period, exec)),
+                   interference(t));
+  });
+  if (!busy) return out;
+  const std::int64_t instances = ceil_div(sat_add(*busy, jitter), period);
+  Duration worst = 0;
+  Time previous = 0;
+  for (std::int64_t m = 1; m <= instances; ++m) {
+    const std::optional<Time> completion = least_fixpoint(
+        std::max(sat_mul(m, exec), sat_add(previous, exec)), cap, [&](Time t) {
+          return sat_add(sat_add(blocking, sat_mul(m, exec)), interference(t));
+        });
+    if (!completion) {
+      out.completions.clear();
+      return out;
+    }
+    previous = *completion;
+    out.completions.push_back(*completion);
+    worst = std::max(worst, sat_add(*completion, jitter) - (m - 1) * period);
+  }
+  out.bound = worst;
+  out.busy = *busy;
+  return out;
+}
+
 AnalysisResult reference_sa_pm(const TaskSystem& system, const SaPmOptions& options) {
   const Time cap = static_cast<Time>(options.cap_period_multiplier *
                                      static_cast<double>(system.max_period()));
@@ -139,45 +176,17 @@ AnalysisResult reference_sa_pm(const TaskSystem& system, const SaPmOptions& opti
   result.subtask_bounds = SubtaskTable{system, 0};
   result.eer_bounds.assign(system.task_count(), 0);
   for (const Task& task : system.tasks()) {
-    const Duration p = task.period;
-    const Duration jitter = task.release_jitter;
     Duration eer = 0;
     for (const Subtask& s : task.subtasks) {
-      const Duration e = s.execution_time;
-      const std::vector<const Subtask*> hp = interferers_of(system, s);
-      const auto interference = [&](Time t) {
-        Duration sum = 0;
-        for (const Subtask* k : hp) {
-          const Task& owner = system.task(k->ref.task);
-          sum = sat_add(sum, ceiling_term(t, owner.release_jitter, owner.period,
-                                          k->execution_time));
-        }
-        return sum;
-      };
-      const Duration blocking = blocking_of(system, s);
-
-      Duration bound = kTimeInfinity;
-      const std::optional<Time> busy = least_fixpoint(1, cap, [&](Time t) {
-        return sat_add(sat_add(blocking, ceiling_term(t, jitter, p, e)), interference(t));
-      });
-      if (busy) {
-        const std::int64_t instances = ceil_div(sat_add(*busy, jitter), p);
-        Duration worst = 0;
-        Time previous = 0;
-        for (std::int64_t m = 1; m <= instances; ++m) {
-          const std::optional<Time> completion = least_fixpoint(
-              std::max(sat_mul(m, e), sat_add(previous, e)), cap, [&](Time t) {
-                return sat_add(sat_add(blocking, sat_mul(m, e)), interference(t));
-              });
-          if (!completion) {
-            worst = kTimeInfinity;
-            break;
-          }
-          previous = *completion;
-          worst = std::max(worst, sat_add(*completion, jitter) - (m - 1) * p);
-        }
-        bound = worst;
+      std::vector<ReferenceInterferer> hp;
+      for (const Subtask* k : interferers_of(system, s)) {
+        const Task& owner = system.task(k->ref.task);
+        hp.push_back({owner.period, k->execution_time, owner.release_jitter});
       }
+      const Duration bound =
+          reference_response_bound(task.period, s.execution_time, task.release_jitter,
+                                   blocking_of(system, s), cap, hp)
+              .bound;
       result.subtask_bounds.set(s.ref, bound);
       eer = sat_add(eer, bound);
     }

@@ -12,12 +12,34 @@
 // option and result types are shared.
 #pragma once
 
+#include <vector>
+
 #include "core/analysis/ieert.h"
 #include "core/analysis/sa_ds.h"
 #include "core/analysis/sa_pm.h"
 #include "task/system.h"
 
 namespace e2e::test_support {
+
+/// One member of an interference set: its task's period, its execution
+/// time and its release-jitter term.
+struct ReferenceInterferer {
+  Duration period = 0;
+  Duration exec = 0;
+  Duration jitter = 0;
+};
+
+/// SA/PM steps 1-4 for one subtask equation in the textbook order: the
+/// busy-period fixpoint D, the instance count M = ceil((D + J) / p), then
+/// C(1..M), each iterated from its plain start.
+struct ReferenceResponse {
+  Duration bound = kTimeInfinity;  ///< R_{i,j}, or kTimeInfinity
+  Time busy = 0;                   ///< D_{i,j}; 0 when unbounded
+  std::vector<Time> completions;   ///< C(1..M); empty when unbounded
+};
+[[nodiscard]] ReferenceResponse reference_response_bound(
+    Duration period, Duration exec, Duration jitter, Duration blocking, Time cap,
+    const std::vector<ReferenceInterferer>& hp);
 
 /// Algorithm SA/PM (Section 4.1), cold.
 [[nodiscard]] AnalysisResult reference_sa_pm(const TaskSystem& system,

@@ -452,6 +452,31 @@ TEST(Cli, SimulateHugePeriodFileIsAnInputError) {
   std::filesystem::remove(path);
 }
 
+TEST(Cli, MontecarloHugePeriodFileIsAnInputError) {
+  // 30 x the period 4e17, plus a phase and a period of headroom, leaves
+  // the 64-bit time range: reported as bad input, like simulate does,
+  // instead of handing the engine a non-positive horizon.
+  const std::filesystem::path path =
+      std::filesystem::path{testing::TempDir()} / "e2e_cli_mc_huge_period.txt";
+  {
+    std::ofstream file{path};
+    file << "e2esync v1\nprocessors 1\n"
+            "task 400000000000000000 0 400000000000000000 0 T1\n"
+            "sub 0 1 0 1 T1\n";
+  }
+  const CliResult r =
+      run_cli({"montecarlo", path.string(), "--runs=1", "--horizon-periods=30"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("64-bit time limit"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("horizon-periods"), std::string::npos) << r.err;
+  // A horizon inside the range simulates normally.
+  const CliResult bounded =
+      run_cli({"montecarlo", path.string(), "--runs=1", "--horizon-periods=2"});
+  EXPECT_EQ(bounded.exit_code, 0) << bounded.err;
+  EXPECT_NE(bounded.out.find("schedule hash"), std::string::npos) << bounded.out;
+  std::filesystem::remove(path);
+}
+
 TEST(Cli, AdmitAnswersRequestStream) {
   const CliResult r = run_cli({"admit", "--processors=2"},
                               "admit name=T1 period=100 sub=0:10:0\n"
