@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
           }
           return outcome;
         },
-        PerfWriteOptions{.variants = variants}, std::cout);
+        std::cout, PerfWriteOptions{.variants = variants});
     if (rc != 0) return rc;
 
     // Headline gates (opt-in): the whole point of the incremental

@@ -1,18 +1,17 @@
-// Analysis warm starts: HOPA priority optimization and breakdown-
-// utilization search timed cold (warm_start = false: every round and
-// probe analyzes from scratch) against warm (the default: HOPA carries
-// one AnalysisScratch across rounds for signature-exact reuse, the
-// breakdown search seeds each probe from the schedulable frontier). The
-// two must produce bit-identical results; the report's `variants`
-// section records wall time, speedup and a result hash per
-// (workload, start) pair.
+// Analysis warm start: HOPA priority optimization timed cold
+// (warm_start = false: every round analyzes from scratch) against warm
+// (the default: one AnalysisScratch carried across rounds for
+// signature-exact reuse), plus the breakdown-utilization search (SA/PM
+// and SA/DS, every probe a cold analysis). The two HOPA runs must produce
+// bit-identical results; the report's `variants` section records wall
+// time, speedup and a result hash per variant.
 //
 // Variant hashes are cross-folded so the generic agreement check in
-// write_perf_report (all variant hashes equal) tests exactly "each warm
-// run matches its cold run": every variant's hash combines its own
-// workload's results with the *cold* results of the other workload, so
-// all four agree iff hopa-warm == hopa-cold and breakdown-warm ==
-// breakdown-cold.
+// write_perf_report (all variant hashes equal) tests exactly "the warm
+// HOPA run matches the cold one": each HOPA variant folds its own results
+// with the breakdown results, and the breakdown variant folds the cold
+// HOPA results with its own, so all three agree iff hopa-warm ==
+// hopa-cold.
 //
 // `--json[=path]` additionally times the warm runs at several thread
 // counts (E2E_BENCH_THREADS or 1,2,4,8; systems fan out over the pool)
@@ -76,13 +75,10 @@ SystemOutcome run_hopa_one(const TaskSystem& system, const HopaOptions& options)
   return out;
 }
 
-SystemOutcome run_breakdown_one(const TaskSystem& system,
-                                const BreakdownOptions& options) {
+SystemOutcome run_breakdown_one(const TaskSystem& system) {
   SystemOutcome out;
-  out.hash = fold_double(out.hash,
-                         breakdown_utilization(system, AnalysisKind::kSaPm, options));
-  out.hash = fold_double(out.hash,
-                         breakdown_utilization(system, AnalysisKind::kSaDs, options));
+  out.hash = fold_double(out.hash, breakdown_utilization(system, AnalysisKind::kSaPm));
+  out.hash = fold_double(out.hash, breakdown_utilization(system, AnalysisKind::kSaDs));
   out.events = 2;
   return out;
 }
@@ -125,12 +121,10 @@ int main(int argc, char** argv) {
 
     const HopaOptions hopa_cold{.iterations = hopa_iters, .warm_start = false};
     const HopaOptions hopa_warm{.iterations = hopa_iters};
-    const BreakdownOptions bd_cold{.warm_start = false};
-    const BreakdownOptions bd_warm{};
 
     // One-thread variant measurements: cold first (it is the baseline).
     std::uint64_t h_hopa_cold = 0, h_hopa_warm = 0;
-    std::uint64_t h_bd_cold = 0, h_bd_warm = 0;
+    std::uint64_t h_bd = 0;
     const double w_hopa_cold = timed([&] {
       for (int rep = 0; rep < hopa_repeats; ++rep) {
         h_hopa_cold = sweep(systems, [&](const TaskSystem& s) {
@@ -145,15 +139,8 @@ int main(int argc, char** argv) {
         });
       }
     });
-    const double w_bd_cold = timed([&] {
-      h_bd_cold = sweep(systems, [&](const TaskSystem& s) {
-        return run_breakdown_one(s, bd_cold);
-      });
-    });
-    const double w_bd_warm = timed([&] {
-      h_bd_warm = sweep(systems, [&](const TaskSystem& s) {
-        return run_breakdown_one(s, bd_warm);
-      });
+    const double w_bd = timed([&] {
+      h_bd = sweep(systems, [&](const TaskSystem& s) { return run_breakdown_one(s); });
     });
 
     const auto speedup = [](double cold, double warm) {
@@ -163,19 +150,15 @@ int main(int argc, char** argv) {
         {.name = "hopa-cold",
          .wall_seconds = w_hopa_cold,
          .speedup_vs_legacy = 1.0,
-         .result_hash = hash_combine(h_hopa_cold, h_bd_cold)},
+         .result_hash = hash_combine(h_hopa_cold, h_bd)},
         {.name = "hopa-warm",
          .wall_seconds = w_hopa_warm,
          .speedup_vs_legacy = speedup(w_hopa_cold, w_hopa_warm),
-         .result_hash = hash_combine(h_hopa_warm, h_bd_cold)},
-        {.name = "breakdown-cold",
-         .wall_seconds = w_bd_cold,
+         .result_hash = hash_combine(h_hopa_warm, h_bd)},
+        {.name = "breakdown",
+         .wall_seconds = w_bd,
          .speedup_vs_legacy = 1.0,
-         .result_hash = hash_combine(h_hopa_cold, h_bd_cold)},
-        {.name = "breakdown-warm",
-         .wall_seconds = w_bd_warm,
-         .speedup_vs_legacy = speedup(w_bd_cold, w_bd_warm),
-         .result_hash = hash_combine(h_hopa_cold, h_bd_warm)},
+         .result_hash = hash_combine(h_hopa_cold, h_bd)},
     };
 
     if (!args.has("json")) {
@@ -185,15 +168,11 @@ int main(int argc, char** argv) {
                      TextTable::fmt(w_hopa_warm, 3) + "s",
                      TextTable::fmt(speedup(w_hopa_cold, w_hopa_warm), 2) + "x",
                      h_hopa_cold == h_hopa_warm ? "yes" : "NO"});
-      table.add_row({"breakdown search",
-                     TextTable::fmt(w_bd_cold, 3) + "s",
-                     TextTable::fmt(w_bd_warm, 3) + "s",
-                     TextTable::fmt(speedup(w_bd_cold, w_bd_warm), 2) + "x",
-                     h_bd_cold == h_bd_warm ? "yes" : "NO"});
+      table.add_row({"breakdown search", TextTable::fmt(w_bd, 3) + "s", "-", "-", "-"});
       std::cout << "== Analysis warm start vs cold (" << system_count
                 << " systems, N=" << subtasks << ", U=" << utilization << "%) ==\n\n"
                 << table.to_string();
-      return (h_hopa_cold == h_hopa_warm && h_bd_cold == h_bd_warm) ? 0 : 5;
+      return h_hopa_cold == h_hopa_warm ? 0 : 5;
     }
 
     const std::string path = args.value_string("json", "BENCH_analysis.json");
@@ -214,7 +193,7 @@ int main(int argc, char** argv) {
               [&](std::int64_t index, int /*worker*/) {
                 const TaskSystem& system = systems[static_cast<std::size_t>(index)];
                 SystemOutcome merged = run_hopa_one(system, hopa_warm);
-                const SystemOutcome bd = run_breakdown_one(system, bd_warm);
+                const SystemOutcome bd = run_breakdown_one(system);
                 merged.hash = hash_combine(merged.hash, bd.hash);
                 merged.events += bd.events;
                 outcomes[static_cast<std::size_t>(index)] = merged;
@@ -230,7 +209,7 @@ int main(int argc, char** argv) {
         // pool's dispatch overhead, so its "speedups" are noise; the
         // variants section is this bench's real measurement. Declare
         // that instead of silently passing the scaling gate.
-        PerfWriteOptions{.variants = variants, .gate_exempt = true}, std::cout);
+        std::cout, PerfWriteOptions{.variants = variants, .gate_exempt = true});
   } catch (const InvalidArgument& e) {
     std::cerr << "bench_analysis: " << e.what() << "\n";
     return 1;

@@ -2,10 +2,11 @@
 // clocks, lossy sync signals, timer jitter, transient stalls). See
 // src/experiments/faults.h for the severity ladder and metrics.
 //
-// `--json[=path]` switches to perf mode: the sweep is timed once per
-// thread count (E2E_BENCH_THREADS or 1,2,4,8) and the measurements are
-// written as BENCH_faults.json (see src/report/perf_json.h). Exits
-// nonzero if any thread count produced a different schedule hash.
+// `--json[=path]` switches to perf mode: the sweep is timed as the
+// fastest of three replays per thread count (E2E_BENCH_THREADS or
+// 1,2,4,8) and the measurements are written as BENCH_faults.json (see
+// src/report/perf_json.h). Exits nonzero if any replay produced a
+// different schedule hash.
 // E2E_* overrides: docs/cli_and_formats.md.
 #include <iostream>
 #include <sstream>

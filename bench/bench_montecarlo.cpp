@@ -5,9 +5,10 @@
 // an independent simulation.
 //
 // Default mode prints the latency table. `--json[=path]` switches to
-// perf mode: the estimate is timed once per thread count
-// (E2E_BENCH_THREADS or 1,2,4,8) and written as BENCH_montecarlo.json;
-// exits nonzero if any thread count produced a different schedule hash.
+// perf mode: the estimate is timed as the fastest of three replays per
+// thread count (E2E_BENCH_THREADS or 1,2,4,8) and written as
+// BENCH_montecarlo.json; exits nonzero if any replay produced a
+// different schedule hash.
 // E2E_* overrides: docs/cli_and_formats.md.
 #include <iostream>
 #include <sstream>

@@ -8,10 +8,11 @@
 // gap: estimating the clock from sync exchanges buys back most of the
 // violations raw PM accumulates under skew.
 //
-// `--json[=path]` switches to perf mode: the sweep is timed once per
-// thread count (E2E_BENCH_THREADS or 1,2,4,8) and the measurements are
-// written as BENCH_timesvc.json (see src/report/perf_json.h). Exits
-// nonzero if any thread count produced a different schedule hash.
+// `--json[=path]` switches to perf mode: the sweep is timed as the
+// fastest of three replays per thread count (E2E_BENCH_THREADS or
+// 1,2,4,8) and the measurements are written as BENCH_timesvc.json (see
+// src/report/perf_json.h). Exits nonzero if any replay produced a
+// different schedule hash.
 // E2E_* overrides: docs/cli_and_formats.md.
 #include <iostream>
 #include <sstream>

@@ -21,10 +21,13 @@
 // hashes on every request of every stream; bench_admission enforces this
 // with cross-folded result hashes and the admission property test
 // re-checks it after every single request. The incremental engines'
-// soundness rests on the least-fixpoint facts documented in
-// core/analysis/scratch.h and ieert.h; where a perturbation breaks the
-// monotone-warm-start precondition (a removal, a cap change) they fall
-// back to cold recomputation of exactly the affected cone.
+// soundness rests on the least-fixpoint facts documented at
+// solve_response_bound (core/analysis/kernels.h) and in ieert.h: a
+// previous fixpoint seeds the new iteration only when demand grew and
+// the cap did not shrink. That monotone-seed contract is the engines'
+// own -- the offline analyses always start cold. Where a perturbation
+// breaks it (a removal, a cap change) they fall back to cold
+// recomputation of exactly the affected cone.
 #pragma once
 
 #include <cstdint>

@@ -8,12 +8,4 @@ SaDsResult analyze_holistic_ds(const TaskSystem& system, const SaDsOptions& opti
   return analyze_sa_ds(system, refined);
 }
 
-SaDsResult analyze_holistic_ds(const TaskSystem& system,
-                               const InterferenceMap& interference,
-                               const SaDsOptions& options, AnalysisScratch* scratch) {
-  SaDsOptions refined = options;
-  refined.refine_jitter_with_best_case = true;
-  return analyze_sa_ds(system, interference, refined, scratch);
-}
-
 }  // namespace e2e

@@ -20,12 +20,4 @@ namespace e2e {
 [[nodiscard]] SaDsResult analyze_holistic_ds(const TaskSystem& system,
                                              const SaDsOptions& options = {});
 
-/// As above with a prebuilt interference map and optional warm-start
-/// scratch (see analyze_sa_ds; the scratch's DS table is tagged with the
-/// refined-jitter flag, so holistic and plain SA/DS never cross-seed).
-[[nodiscard]] SaDsResult analyze_holistic_ds(const TaskSystem& system,
-                                             const InterferenceMap& interference,
-                                             const SaDsOptions& options = {},
-                                             AnalysisScratch* scratch = nullptr);
-
 }  // namespace e2e

@@ -42,11 +42,6 @@ Duration solve_response_bound(const ResponseEquation& eq, const HpRuns& hp,
   const FixpointOptions fp{.cap = eq.cap};
 
   warm = warm && sc != nullptr && sc->has;
-  if (warm && is_infinite(sc->bound)) {
-    // The previous (dominated, same-or-larger-cap) equation already
-    // diverged; the new one diverges a fortiori.
-    return kTimeInfinity;
-  }
   const auto record_unbounded = [&]() -> Duration {
     if (sc != nullptr) {
       sc->has = true;

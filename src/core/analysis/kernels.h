@@ -11,8 +11,9 @@
 // numerical coincidence.
 //
 // Both solvers accept the warm-start state from core/analysis/scratch.h /
-// ieert.h; warm seeds are only ever accelerators (see those headers for
-// the monotonicity arguments) and never change the returned bound.
+// ieert.h; warm seeds are only ever accelerators (see the declarations
+// below for the monotonicity arguments) and never change the returned
+// bound.
 #pragma once
 
 #include <cstdint>
@@ -61,10 +62,11 @@ struct ResponseEquation {
 /// subtask (SA/PM steps 1-4), or kTimeInfinity.
 ///
 /// `sc` (optional) receives the converged fixpoints; with `warm` the
-/// previous contents seed the iterations (sound because every recorded
-/// value is <= the new least fixpoint under the caller's monotonicity
-/// promise, so the iteration still converges to exactly the new least
-/// fixpoint).
+/// previous contents seed the iterations. That is sound only when the
+/// caller knows every recorded value is <= the new least fixpoint (the
+/// SA/PM admission engine after an admit: demand and cap only grew), so
+/// the iteration still converges to exactly the new least fixpoint. An
+/// unbounded entry records no seeds, so a warm solve over it runs cold.
 ///
 /// C(1) is solved first: when C(1) + J <= p the busy period holds one
 /// instance and equals C(1), so no busy-period fixpoint is iterated (see

@@ -37,7 +37,7 @@ SaDsResult analyze_sa_ds(const TaskSystem& system, const SaDsOptions& options) {
 }
 
 SaDsResult analyze_sa_ds(const TaskSystem& system, const InterferenceMap& interference,
-                         const SaDsOptions& options, AnalysisScratch* scratch) {
+                         const SaDsOptions& options) {
   SaDsResult result;
 
   // Initialization (Figure 11 step 1): R_{i,j} = sum of own and
@@ -48,23 +48,6 @@ SaDsResult analyze_sa_ds(const TaskSystem& system, const InterferenceMap& interf
     for (const Subtask& s : t.subtasks) {
       cumulative += s.execution_time;
       current.set(s.ref, cumulative);
-    }
-  }
-
-  // Warm start: under the caller's monotonicity promise the previous
-  // converged table is <= the new fixpoint entrywise, and so is the
-  // optimistic init; their elementwise max is therefore still an
-  // under-approximation and the iteration converges to the identical
-  // fixpoint in fewer passes.
-  const bool monotone = scratch != nullptr && scratch->monotone;
-  if (scratch != nullptr) scratch->monotone = false;
-  if (monotone && scratch->ds_valid &&
-      scratch->ds_refined == options.refine_jitter_with_best_case &&
-      scratch->ds_table.shaped_like(system)) {
-    for (const Task& t : system.tasks()) {
-      for (const Subtask& s : t.subtasks) {
-        current.set(s.ref, std::max(current.at(s.ref), scratch->ds_table.at(s.ref)));
-      }
     }
   }
 
@@ -79,14 +62,6 @@ SaDsResult analyze_sa_ds(const TaskSystem& system, const InterferenceMap& interf
                               state);
   result.passes = run.passes;
   result.converged = run.converged;
-
-  // Only a converged table is a genuine fixpoint worth warm-starting
-  // from; a pass-budget blowout leaves `current` mid-iteration.
-  if (scratch != nullptr && result.converged) {
-    scratch->ds_valid = true;
-    scratch->ds_refined = options.refine_jitter_with_best_case;
-    scratch->ds_table = current;
-  }
 
   result.analysis.subtask_bounds = current;
   result.analysis.eer_bounds.assign(system.task_count(), kTimeInfinity);

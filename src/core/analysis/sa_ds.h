@@ -18,7 +18,6 @@
 #include "core/analysis/bounds.h"
 #include "core/analysis/ieert.h"
 #include "core/analysis/interference.h"
-#include "core/analysis/scratch.h"
 #include "task/system.h"
 
 namespace e2e {
@@ -57,19 +56,10 @@ struct SaDsResult {
 [[nodiscard]] SaDsResult analyze_sa_ds(const TaskSystem& system,
                                        const SaDsOptions& options = {});
 
-/// As above, reusing a prebuilt interference map. When `scratch` is
-/// non-null and the caller armed `scratch->monotone` (demand grew, caps
-/// and failure cutoffs did not), the IEERT iteration starts from the
-/// elementwise max of the optimistic init and the previous converged
-/// table -- both under-approximations of the new fixpoint, so the
-/// iteration converges to exactly the table the cold start produces, in
-/// fewer passes. The scratch only stores converged tables, and a table
-/// computed under a different refine_jitter_with_best_case flag is
-/// ignored (the two operators' fixpoints are not comparable).
+/// As above, reusing a prebuilt interference map.
 [[nodiscard]] SaDsResult analyze_sa_ds(const TaskSystem& system,
                                        const InterferenceMap& interference,
-                                       const SaDsOptions& options = {},
-                                       AnalysisScratch* scratch = nullptr);
+                                       const SaDsOptions& options = {});
 
 /// The IEERT options every SA/DS sweep of `system` runs under: the
 /// per-task failure cutoff (options.failure_period_multiplier x period)

@@ -35,18 +35,12 @@ AnalysisResult analyze_sa_pm(const TaskSystem& system,
 
   const Time cap = sat_scale(options.cap_period_multiplier, system.max_period());
 
-  // Consume the one-shot monotonicity promise and make sure the scratch
-  // is shaped for this system; a mismatched scratch is wiped, not trusted.
-  const bool monotone = scratch != nullptr && scratch->monotone;
-  if (scratch != nullptr) scratch->monotone = false;
-  bool reuse_allowed = false;
-  if (scratch != nullptr) {
-    reuse_allowed = scratch->pm_valid && pm_shape_matches(scratch->pm, system);
-    if (!reuse_allowed) {
-      scratch->pm.assign(system.task_count(), {});
-      for (const Task& t : system.tasks()) {
-        scratch->pm[t.id.index()].assign(t.subtasks.size(), SubtaskScratch{});
-      }
+  // Make sure the scratch is shaped for this system; a mismatched
+  // scratch is wiped, not trusted.
+  if (scratch != nullptr && !pm_shape_matches(scratch->pm, system)) {
+    scratch->pm.assign(system.task_count(), {});
+    for (const Task& t : system.tasks()) {
+      scratch->pm[t.id.index()].assign(t.subtasks.size(), SubtaskScratch{});
     }
   }
 
@@ -64,19 +58,13 @@ AnalysisResult analyze_sa_pm(const TaskSystem& system,
           scratch != nullptr
               ? &scratch->pm[t.id.index()][static_cast<std::size_t>(s.ref.index)]
               : nullptr;
+      const std::uint64_t sig = sc != nullptr ? response_equation_signature(eq, hp) : 0;
       Duration r = 0;
-      bool reused = false;
-      std::uint64_t sig = 0;
-      if (sc != nullptr) {
-        sig = response_equation_signature(eq, hp);
-        if (reuse_allowed && sc->has && sc->signature == sig) {
-          // Bit-identical equation: same least fixpoint, no iteration.
-          r = sc->bound;
-          reused = true;
-        }
-      }
-      if (!reused) {
-        r = solve_response_bound(eq, hp, sc, reuse_allowed && monotone);
+      if (sc != nullptr && sc->has && sc->signature == sig) {
+        // Bit-identical equation: same least fixpoint, no iteration.
+        r = sc->bound;
+      } else {
+        r = solve_response_bound(eq, hp, sc, false);
         if (sc != nullptr) sc->signature = sig;
       }
       result.subtask_bounds.set(s.ref, r);
@@ -84,7 +72,6 @@ AnalysisResult analyze_sa_pm(const TaskSystem& system,
     }
     result.eer_bounds[t.id.index()] = eer;  // Step 5
   }
-  if (scratch != nullptr) scratch->pm_valid = true;
   finalize_schedulability(system, result);
   return result;
 }

@@ -43,12 +43,10 @@ struct SaPmOptions {
 
 /// As above, reusing a prebuilt interference map (the experiment sweeps
 /// analyze the same system under several algorithms). When `scratch` is
-/// non-null the run records its converged fixpoints there and reuses the
-/// previous contents where sound (see core/analysis/scratch.h):
-/// bit-identical equations are copied without iterating, and -- when the
-/// caller armed `scratch->monotone` -- remaining fixpoints iterate from
-/// the previous run's values. Results are bit-identical with or without
-/// a scratch.
+/// non-null the run records its converged fixpoints there and copies the
+/// previous run's bound, without iterating, for every subtask whose
+/// demand equation is bit-identical (see core/analysis/scratch.h).
+/// Results are bit-identical with or without a scratch.
 [[nodiscard]] AnalysisResult analyze_sa_pm(const TaskSystem& system,
                                            const InterferenceMap& interference,
                                            const SaPmOptions& options = {},

@@ -1,36 +1,22 @@
-// Warm-start state carried between successive analyses of related systems.
+// Warm-start state carried between successive SA/PM analyses of related
+// systems.
 //
-// The analyses' fixpoints are least fixpoints of monotone operators, so
-// two reuse modes are sound:
+// Signature-exact reuse: if a subtask's demand equation is bit-identical
+// to the previous run's (same period / execution / jitter / blocking /
+// cap and the same interferer parameters), its least fixpoint is the
+// same value -- copy it without iterating. This needs no monotonicity
+// assumption and is what HOPA's priority-reassignment rounds hit for the
+// (many) subtasks whose priority level did not change.
 //
-//  * Signature-exact reuse: if a subtask's demand equation is bit-identical
-//    to the previous run's (same period / execution / jitter / blocking /
-//    cap and the same interferer parameters), its least fixpoint is the
-//    same value -- copy it without iterating. This needs no monotonicity
-//    assumption and is what HOPA's priority-reassignment rounds hit for
-//    the (many) subtasks whose priority level did not change.
-//
-//  * Monotone warm start: if the caller promises the new demand operator
-//    dominates the old one pointwise AND the divergence caps did not
-//    increase (`monotone` flag), the old least fixpoint lies at or below
-//    the new one, so iterating from it converges to exactly the new least
-//    fixpoint -- in few iterations when the perturbation is small. This is
-//    what the breakdown-utilization search and the overhead-inflation
-//    re-analyses use (execution times only scale up). An "unbounded"
-//    verdict short-circuits: a dominated operator that already diverged
-//    under the same cap still diverges.
-//
-// A scratch is only ever an accelerator: every analysis falls back to the
-// cold iteration when the scratch is missing, shaped differently, or not
-// provably applicable, and results are bit-identical either way.
+// A scratch is only ever an accelerator: a subtask whose entry is
+// missing, shaped for another system, or signed differently is solved
+// cold, and results are bit-identical either way.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/time.h"
-#include "core/analysis/bounds.h"
-#include "task/system.h"
 
 namespace e2e {
 
@@ -47,27 +33,11 @@ struct SubtaskScratch {
   std::vector<Time> completions;
 };
 
-/// Reusable state for analyze_sa_pm / analyze_sa_ds. One scratch serves
-/// one logical sequence of analyses (a HOPA run, a breakdown search, ...);
-/// never share one instance across threads.
+/// Reusable state for analyze_sa_pm. One scratch serves one logical
+/// sequence of analyses (a HOPA run, ...); never share one instance
+/// across threads.
 struct AnalysisScratch {
-  /// One-shot caller promise, consumed (reset to false) by the next
-  /// analysis call: the system analyzed next has demand >= the previous
-  /// one pointwise, with divergence caps no larger. Arm this before each
-  /// call where it holds (e.g. after scaling execution times up).
-  bool monotone = false;
-
-  // --- SA/PM ---
-  bool pm_valid = false;
   std::vector<std::vector<SubtaskScratch>> pm;  // [task][chain index]
-
-  // --- SA/DS (IEER table of the last *converged* run) ---
-  bool ds_valid = false;
-  /// The refine_jitter_with_best_case flag the table was computed under;
-  /// refined and plain operators are not comparable, so a mismatched
-  /// table is ignored.
-  bool ds_refined = false;
-  SubtaskTable ds_table;
 };
 
 }  // namespace e2e

@@ -11,48 +11,12 @@
 namespace e2e {
 namespace {
 
-/// Converged analysis state pinned at the highest scale factor found
-/// schedulable so far. The binary search only ever probes at or above its
-/// schedulable frontier, and scale_execution_times is monotone in the
-/// factor (max(1, round(factor * e))), so warm-starting a probe from the
-/// frontier's fixpoints is sound: they under-approximate the probe's.
-/// Unschedulable probes must NOT update the frontier -- their fixpoints
-/// belong to a larger factor and would over-seed lower probes.
-struct ScratchFrontier {
-  AnalysisScratch scratch;
-  double factor = 0.0;
-  bool has = false;
-};
-
 bool schedulable_at(const TaskSystem& base, double target_utilization,
-                    double base_utilization, AnalysisKind analysis,
-                    ScratchFrontier* frontier) {
-  const double factor = target_utilization / base_utilization;
-  const TaskSystem scaled = scale_execution_times(base, factor);
-  const InterferenceMap interference{scaled};
-
-  AnalysisScratch working;
-  AnalysisScratch* sc = nullptr;
-  if (frontier != nullptr) {
-    if (frontier->has && factor >= frontier->factor) {
-      working = frontier->scratch;
-      working.monotone = true;  // execution times only grew; caps unchanged
-    }
-    sc = &working;
-  }
-
-  bool ok = false;
-  if (analysis == AnalysisKind::kSaPm) {
-    ok = analyze_sa_pm(scaled, interference, {}, sc).system_schedulable();
-  } else {
-    ok = analyze_sa_ds(scaled, interference, {}, sc).analysis.system_schedulable();
-  }
-  if (frontier != nullptr && ok && (!frontier->has || factor >= frontier->factor)) {
-    frontier->scratch = std::move(working);
-    frontier->factor = factor;
-    frontier->has = true;
-  }
-  return ok;
+                    double base_utilization, AnalysisKind analysis) {
+  const TaskSystem scaled =
+      scale_execution_times(base, target_utilization / base_utilization);
+  if (analysis == AnalysisKind::kSaPm) return analyze_sa_pm(scaled).system_schedulable();
+  return analyze_sa_ds(scaled).analysis.system_schedulable();
 }
 
 }  // namespace
@@ -62,19 +26,16 @@ double breakdown_utilization(const TaskSystem& system, AnalysisKind analysis,
   const double base = system.max_processor_utilization();
   E2E_ASSERT(base > 0.0, "system has no workload");
 
-  ScratchFrontier frontier_storage;
-  ScratchFrontier* frontier = options.warm_start ? &frontier_storage : nullptr;
-
   // Establish a schedulable lower end; execution times can't shrink below
   // one tick, so "0" here means even the floor is unschedulable.
   double lo = options.tolerance;
-  if (!schedulable_at(system, lo, base, analysis, frontier)) return 0.0;
+  if (!schedulable_at(system, lo, base, analysis)) return 0.0;
   double hi = options.max_utilization;
-  if (schedulable_at(system, hi, base, analysis, frontier)) return hi;
+  if (schedulable_at(system, hi, base, analysis)) return hi;
 
   while (hi - lo > options.tolerance) {
     const double mid = (lo + hi) / 2.0;
-    if (schedulable_at(system, mid, base, analysis, frontier)) {
+    if (schedulable_at(system, mid, base, analysis)) {
       lo = mid;
     } else {
       hi = mid;

@@ -27,11 +27,6 @@ struct BreakdownOptions {
   double tolerance = 0.01;
   /// Search ceiling on the max per-processor utilization.
   double max_utilization = 1.0;
-  /// Seed each probe's fixpoints from the converged state of the highest
-  /// scale already known schedulable. Sound -- execution times are
-  /// monotone in the scale factor while periods (hence caps and cutoffs)
-  /// never change -- and bit-identical to the cold search.
-  bool warm_start = true;
   /// Worker threads for run_breakdown_experiment; 0 = E2E_THREADS env
   /// var, else hardware concurrency. Results are identical at every
   /// thread count.

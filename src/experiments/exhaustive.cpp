@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <sstream>
 
 #include "common/error.h"
 #include "common/math.h"
@@ -13,6 +14,9 @@
 
 namespace e2e {
 namespace {
+
+/// Horizon in maximum periods when the hyperperiod saturates.
+constexpr double kFallbackHorizonPeriods = 20.0;
 
 /// Rebuilds `system` with the given per-task phases.
 TaskSystem with_phases(const TaskSystem& system, const std::vector<Time>& phases) {
@@ -39,11 +43,17 @@ ExhaustiveResult exhaustive_worst_eer(const TaskSystem& system, ProtocolKind kin
     throw InvalidArgument("exhaustive search: phase step must be positive");
   }
 
-  // Count the grid before starting.
+  // Count the grid before starting. The grid is a mixed-radix odometer
+  // with task 0 as the least significant digit; phasing k is decoded from
+  // k arithmetically, so workers need no shared iteration state.
+  std::vector<std::int64_t> steps;
+  steps.reserve(system.task_count());
   std::int64_t combinations = 1;
+  Time last_phase = 0;  // the largest grid phase of any task
   for (const Task& t : system.tasks()) {
-    const std::int64_t steps = ceil_div(t.period, options.phase_step);
-    combinations = sat_mul(combinations, steps);
+    steps.push_back(ceil_div(t.period, options.phase_step));
+    last_phase = std::max(last_phase, (steps.back() - 1) * options.phase_step);
+    combinations = sat_mul(combinations, steps.back());
     if (combinations > options.max_phasings) {
       throw InvalidArgument(
           "exhaustive search: too many phase combinations; raise "
@@ -51,29 +61,38 @@ ExhaustiveResult exhaustive_worst_eer(const TaskSystem& system, ProtocolKind kin
     }
   }
 
+  const Duration hyper = system.hyperperiod();
+  const Time base_horizon = is_infinite(hyper)
+                                ? system.horizon_ticks(kFallbackHorizonPeriods)
+                                : sat_scale(options.horizon_hyperperiods, hyper);
+  if (!(options.horizon_hyperperiods > 0.0) || base_horizon <= 0) {
+    throw InvalidArgument(
+        "exhaustive search: horizon_hyperperiods must give a positive horizon");
+  }
+  // Each phasing simulates to its largest phase plus the horizon, and the
+  // engine adds a period to the last release before comparing it with
+  // that end: all of it must fit in the time range.
+  if (is_infinite(sat_add(sat_add(last_phase, base_horizon), system.max_period()))) {
+    std::ostringstream message;
+    message << "exhaustive search: a horizon of ";
+    if (is_infinite(hyper)) {
+      message << kFallbackHorizonPeriods << " maximum periods";
+    } else {
+      message << options.horizon_hyperperiods << " hyperperiods";
+    }
+    message << " does not leave one maximum period (" << system.max_period()
+            << ") below the 64-bit time limit; lower horizon_hyperperiods";
+    throw InvalidArgument(message.str());
+  }
+
   // PM/MPM bounds are phase-independent: compute once (memoized across
   // repeated searches of the same system).
   const AnalysisResult pm_bounds = *AnalysisCache::shared().sa_pm(system);
-
-  const Duration hyper = system.hyperperiod();
-  const Time base_horizon =
-      is_infinite(hyper)
-          ? system.horizon_ticks(20.0)
-          : static_cast<Time>(options.horizon_hyperperiods *
-                              static_cast<double>(hyper));
 
   ExhaustiveResult result;
   result.worst_eer.assign(system.task_count(), 0);
   result.worst_phasing.assign(system.task_count(), {});
 
-  // The phase grid is a mixed-radix odometer with task 0 as the least
-  // significant digit; phasing k is decoded from k arithmetically, so
-  // workers need no shared iteration state.
-  std::vector<std::int64_t> steps;
-  steps.reserve(system.task_count());
-  for (const Task& t : system.tasks()) {
-    steps.push_back(ceil_div(t.period, options.phase_step));
-  }
   const auto decode = [&](std::int64_t index, std::vector<Time>& phases) {
     phases.resize(steps.size());
     for (std::size_t task = 0; task < steps.size(); ++task) {

@@ -24,8 +24,8 @@ struct ExhaustiveOptions {
   /// Grid step for each task's phase (1 = every integer phase in
   /// [0, period), exhaustive for integer-time systems).
   Duration phase_step = 1;
-  /// Simulation horizon per phasing, as a multiple of the hyperperiod
-  /// (falls back to multiples of the max period when the hyperperiod
+  /// Simulation horizon per phasing, as a positive multiple of the
+  /// hyperperiod (falls back to 20 max periods when the hyperperiod
   /// saturates).
   double horizon_hyperperiods = 2.0;
   /// Safety valve: refuse absurd searches (phasing count above this).
@@ -46,8 +46,10 @@ struct ExhaustiveResult {
 
 /// Runs the search for `kind` on `system` (phases in the input system are
 /// ignored; every grid combination is tried). Throws InvalidArgument if
-/// the search would exceed `max_phasings` or if `kind` needs bounds that
-/// do not exist (PM/MPM on an unboundable system).
+/// the search would exceed `max_phasings`, if the horizon is not positive
+/// or leaves no maximum period of headroom below 2^63 past the largest
+/// grid phase, or if `kind` needs bounds that do not exist (PM/MPM on an
+/// unboundable system).
 [[nodiscard]] ExhaustiveResult exhaustive_worst_eer(const TaskSystem& system,
                                                     ProtocolKind kind,
                                                     const ExhaustiveOptions& options = {});

@@ -159,11 +159,9 @@ void run_overhead_report(std::ostream& out, const SweepOptions& options) {
 
   // Baseline SA/PM bounds, computed once up front: the measured loop
   // below hands them to the factory (PM/MPM phase derivation, previously
-  // re-run per protocol), and the overhead-aware re-analyses at the end
-  // warm-start from the recorded fixpoints.
-  AnalysisScratch baseline_scratch;
-  const AnalysisResult baseline =
-      analyze_sa_pm(system, InterferenceMap{system}, {}, &baseline_scratch);
+  // re-run per protocol), and the overhead-aware bounds at the end are
+  // read relative to them.
+  const AnalysisResult baseline = analyze_sa_pm(system);
 
   TextTable measured({"protocol", "jobs", "sync signals/job", "timer irqs/job",
                       "dispatches/job", "preemptions/job"});
@@ -241,17 +239,9 @@ void run_overhead_report(std::ostream& out, const SweepOptions& options) {
                              "mean EER-bound inflation", "schedulable tasks"});
   for (const ProtocolKind kind : kAllProtocolKinds) {
     const TaskSystem inflated = inflate_for_overhead(system, kind, costs);
-    AnalysisResult result;
-    if (kind == ProtocolKind::kDirectSync) {
-      result = analyze_sa_ds(inflated).analysis;
-    } else {
-      // Overhead inflation only grows execution times, so the baseline
-      // fixpoints under-approximate the inflated system's and may seed
-      // its iterations.
-      AnalysisScratch warm = baseline_scratch;
-      warm.monotone = true;
-      result = analyze_sa_pm(inflated, InterferenceMap{inflated}, {}, &warm);
-    }
+    const AnalysisResult result = kind == ProtocolKind::kDirectSync
+                                      ? analyze_sa_ds(inflated).analysis
+                                      : analyze_sa_pm(inflated);
     RunningStats inflation;
     int schedulable = 0;
     for (const Task& t : system.tasks()) {

@@ -1,5 +1,6 @@
 #include "report/perf_json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
@@ -258,20 +259,26 @@ PerfReport run_perf_harness(
   report.hw_threads = hw > 0 ? static_cast<int>(hw) : 1;
 
   for (const int threads : thread_counts) {
-    const auto start = std::chrono::steady_clock::now();
-    const PerfRunOutcome outcome = run(threads);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-
     PerfEntry entry;
     entry.threads = threads;
-    entry.wall_seconds = elapsed.count();
-    entry.events = outcome.events;
+    for (int replay = 0; replay < kPerfReplays; ++replay) {
+      const auto start = std::chrono::steady_clock::now();
+      const PerfRunOutcome outcome = run(threads);
+      const std::chrono::duration<double> elapsed =
+          std::chrono::steady_clock::now() - start;
+      if (replay == 0) {
+        entry.wall_seconds = elapsed.count();
+        entry.events = outcome.events;
+        entry.schedule_hash = outcome.schedule_hash;
+      } else {
+        entry.wall_seconds = std::min(entry.wall_seconds, elapsed.count());
+        if (outcome.schedule_hash != entry.schedule_hash) report.deterministic = false;
+      }
+    }
     entry.events_per_second =
         entry.wall_seconds > 0.0
-            ? static_cast<double>(outcome.events) / entry.wall_seconds
+            ? static_cast<double>(entry.events) / entry.wall_seconds
             : 0.0;
-    entry.schedule_hash = outcome.schedule_hash;
     const double baseline = report.entries.empty()
                                 ? entry.wall_seconds
                                 : report.entries.front().wall_seconds;
@@ -428,25 +435,7 @@ int write_perf_report(const std::string& bench, const std::string& workload,
                       const std::string& path,
                       const std::vector<int>& thread_counts,
                       const std::function<PerfRunOutcome(int threads)>& run,
-                      std::ostream& out) {
-  return write_perf_report(bench, workload, path, thread_counts, run,
-                           PerfWriteOptions{}, out);
-}
-
-int write_perf_report(const std::string& bench, const std::string& workload,
-                      const std::string& path,
-                      const std::vector<int>& thread_counts,
-                      const std::function<PerfRunOutcome(int threads)>& run,
-                      const std::vector<PerfVariant>& variants, std::ostream& out) {
-  return write_perf_report(bench, workload, path, thread_counts, run,
-                           PerfWriteOptions{.variants = variants}, out);
-}
-
-int write_perf_report(const std::string& bench, const std::string& workload,
-                      const std::string& path,
-                      const std::vector<int>& thread_counts,
-                      const std::function<PerfRunOutcome(int threads)>& run,
-                      const PerfWriteOptions& options, std::ostream& out) {
+                      std::ostream& out, const PerfWriteOptions& options) {
   PerfReport report = run_perf_harness(bench, workload, thread_counts, run);
   report.variants = options.variants;
   report.gate_exempt = options.gate_exempt;

@@ -3,10 +3,10 @@
 // (BENCH_<name>.json) that successive commits can diff.
 //
 // The harness is also a determinism check: each timed run reports its
-// combined schedule hash, and the report records whether every thread
-// count produced the identical hash. A bench in --json mode exits
-// nonzero when they differ, so a parallelism bug fails CI even if the
-// timings look fine.
+// combined schedule hash, and the report records whether every replay at
+// every thread count produced the identical hash. A bench in --json mode
+// exits nonzero when they differ, so a parallelism bug fails CI even if
+// the timings look fine.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,7 @@ struct PerfVariant {
 struct PerfReport {
   std::string bench;     ///< e.g. "faults"
   std::string workload;  ///< human-readable workload description
-  /// True iff every entry produced the same schedule hash.
+  /// True iff every replay of every entry produced the same schedule hash.
   bool deterministic = false;
   /// Hardware threads of the measuring host. Multi-thread speedups from a
   /// host with fewer cores than the thread count measure oversubscription,
@@ -79,8 +79,14 @@ struct PerfRunOutcome {
 /// positive integers) when set, otherwise {1, 2, 4, 8}.
 [[nodiscard]] std::vector<int> bench_thread_counts();
 
-/// Runs `run(threads)` once per requested thread count, timing each with
-/// a monotonic clock, and assembles the report. The first count is the
+/// Timed replays of each thread count; the fastest one is recorded, so a
+/// rung's wall time is not at the mercy of one noisy run on a shared host.
+inline constexpr int kPerfReplays = 3;
+
+/// Runs `run(threads)` kPerfReplays times per requested thread count,
+/// timing each with a monotonic clock, and assembles the report from the
+/// fastest replay of each count. The report is deterministic iff every
+/// replay of every count produced the same hash. The first count is the
 /// speedup baseline (callers normally put 1 first).
 [[nodiscard]] PerfReport run_perf_harness(
     const std::string& bench, const std::string& workload,
@@ -109,27 +115,12 @@ void validate_perf_json(const std::string& json);
 [[nodiscard]] std::optional<std::string> scaling_gate_failure(
     const PerfReport& report, double floor);
 
-/// Bench driver: runs the harness, validates its own JSON, writes it to
-/// `path`, prints a one-line summary per thread count to `out`, and
-/// returns the process exit code (nonzero when the workload was not
-/// deterministic across thread counts).
-int write_perf_report(const std::string& bench, const std::string& workload,
-                      const std::string& path,
-                      const std::vector<int>& thread_counts,
-                      const std::function<PerfRunOutcome(int threads)>& run,
-                      std::ostream& out);
-
-/// As above, attaching a pre-measured code-path variant comparison to the
-/// report. Exits nonzero additionally when the variants' result hashes
-/// disagree (the fast paths must be bit-identical to the legacy path).
-int write_perf_report(const std::string& bench, const std::string& workload,
-                      const std::string& path,
-                      const std::vector<int>& thread_counts,
-                      const std::function<PerfRunOutcome(int threads)>& run,
-                      const std::vector<PerfVariant>& variants, std::ostream& out);
-
 /// Extra knobs for write_perf_report beyond the common defaults.
 struct PerfWriteOptions {
+  /// Pre-measured code-path variant comparison attached to the report.
+  /// The bench exits nonzero additionally when the variants' result
+  /// hashes disagree (the fast paths must be bit-identical to the legacy
+  /// path).
   std::vector<PerfVariant> variants;
   /// Sets PerfReport::gate_exempt: the report says -- explicitly, in the
   /// committed JSON -- that its thread ladder does not measure scaling
@@ -137,10 +128,15 @@ struct PerfWriteOptions {
   bool gate_exempt = false;
 };
 
+/// Bench driver: runs the harness, validates its own JSON, writes it to
+/// `path`, prints a one-line summary per variant and thread count to
+/// `out`, and returns the process exit code (nonzero when the workload
+/// was not deterministic across replays and thread counts, or the
+/// variants disagree).
 int write_perf_report(const std::string& bench, const std::string& workload,
                       const std::string& path,
                       const std::vector<int>& thread_counts,
                       const std::function<PerfRunOutcome(int threads)>& run,
-                      const PerfWriteOptions& options, std::ostream& out);
+                      std::ostream& out, const PerfWriteOptions& options = {});
 
 }  // namespace e2e

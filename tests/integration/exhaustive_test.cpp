@@ -1,6 +1,8 @@
 // Exhaustive phase search vs the analytic bounds on small systems.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.h"
 #include "core/analysis/sa_ds.h"
 #include "core/analysis/sa_pm.h"
@@ -85,6 +87,55 @@ TEST(Exhaustive, WorstPhasingIsRecorded) {
     EXPECT_GE(r.worst_phasing[2][t.id.index()], 0);
     EXPECT_LT(r.worst_phasing[2][t.id.index()], t.period);
   }
+}
+
+TaskSystem one_task(Duration period) {
+  TaskSystemBuilder b{1};
+  b.add_task({.period = period}).subtask(ProcessorId{0}, 1, Priority{0});
+  return std::move(b).build();
+}
+
+TEST(Exhaustive, RejectsNonPositiveHorizons) {
+  const TaskSystem sys = paper::example2();
+  for (const double multiplier : {0.0, -1.0, std::nan("")}) {
+    EXPECT_THROW((void)exhaustive_worst_eer(sys, ProtocolKind::kDirectSync,
+                                            {.horizon_hyperperiods = multiplier}),
+                 InvalidArgument)
+        << multiplier;
+  }
+  // A positive multiplier whose horizon truncates to zero ticks.
+  EXPECT_THROW((void)exhaustive_worst_eer(one_task(5), ProtocolKind::kDirectSync,
+                                          {.horizon_hyperperiods = 0.1}),
+               InvalidArgument);
+}
+
+TEST(Exhaustive, RejectsHorizonsPastTheTimeLimit) {
+  // Two hyperperiods of 5e18 ticks leave the 64-bit range: the search
+  // used to wrap the horizon and abort inside the engine.
+  constexpr Duration kHuge = 5'000'000'000'000'000'000;
+  EXPECT_THROW((void)exhaustive_worst_eer(one_task(kHuge), ProtocolKind::kDirectSync,
+                                          {.phase_step = kHuge}),
+               InvalidArgument);
+  // A saturated hyperperiod falls back to 20 maximum periods, which here
+  // leaves no maximum period of headroom either.
+  constexpr Duration kPeriod = 450'000'000'000'000'000;
+  TaskSystemBuilder b{2};
+  b.add_task({.period = kPeriod}).subtask(ProcessorId{0}, 1, Priority{0});
+  b.add_task({.period = kPeriod + 1}).subtask(ProcessorId{1}, 1, Priority{0});
+  const TaskSystem coprime = std::move(b).build();
+  ASSERT_TRUE(is_infinite(coprime.hyperperiod()));
+  EXPECT_THROW((void)exhaustive_worst_eer(coprime, ProtocolKind::kDirectSync,
+                                          {.phase_step = kPeriod}),
+               InvalidArgument);
+}
+
+TEST(Exhaustive, HugePeriodsWithinTheTimeLimitStillRun) {
+  // Two hyperperiods plus one period of headroom fit below 2^63.
+  constexpr Duration kPeriod = 1'000'000'000'000'000'000;
+  const ExhaustiveResult r = exhaustive_worst_eer(
+      one_task(kPeriod), ProtocolKind::kDirectSync, {.phase_step = kPeriod});
+  EXPECT_EQ(r.phasings_tried, 1);
+  EXPECT_EQ(r.worst_eer[0], 1);
 }
 
 }  // namespace

@@ -164,6 +164,22 @@ TEST(PerfJson, HarnessFlagsNonDeterministicWorkloads) {
   EXPECT_FALSE(report.deterministic);
 }
 
+TEST(PerfJson, HarnessFlagsHashesThatChangeBetweenReplays) {
+  // One thread count, so only the replays can disagree: the second of
+  // them folds a different hash.
+  int calls = 0;
+  const PerfReport report = run_perf_harness(
+      "demo", "hash depends on the replay", {1}, [&calls](int) {
+        ++calls;
+        return PerfRunOutcome{.events = 10,
+                              .schedule_hash = calls == 2 ? 7u : 42u};
+      });
+  EXPECT_EQ(calls, kPerfReplays);
+  EXPECT_FALSE(report.deterministic);
+  ASSERT_EQ(report.entries.size(), 1u);
+  EXPECT_EQ(report.entries[0].schedule_hash, 42u);
+}
+
 TEST(PerfJson, HarnessRecordsHostFacts) {
   const PerfReport report = run_perf_harness(
       "demo", "w", {1}, [](int) { return PerfRunOutcome{}; });
