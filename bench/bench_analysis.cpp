@@ -1,8 +1,8 @@
 // Analysis warm start: HOPA priority optimization timed cold
-// (warm_start = false: every round analyzes from scratch) against warm
-// (the default: one AnalysisScratch carried across rounds for
-// signature-exact reuse), plus the breakdown-utilization search (SA/PM
-// and SA/DS, every probe a cold analysis). The two HOPA runs must produce
+// (warm_start = false: every round rebuilds and analyzes) against warm
+// (the default: rounds whose priority levels did not move skip the
+// rebuild and the analysis), plus the breakdown-utilization search
+// (SA/PM and SA/DS, every probe a cold analysis). The two HOPA runs must produce
 // bit-identical results; the report's `variants` section records wall
 // time, speedup and a result hash per variant.
 //

@@ -1,7 +1,7 @@
 // Verdict engines behind the admission controller.
 //
 // An Engine owns the analysis-side state for one controller: per-task
-// EER bounds, per-subtask bounds, and whatever warm-start material its
+// EER bounds, per-subtask bounds, and whatever fixpoint seeds its
 // strategy keeps between requests. Two families exist per policy:
 //
 //  * the full-recompute engine rebuilds the TaskSystem and reruns the
@@ -12,22 +12,22 @@
 //    SA/PM re-solves only the subtask equations the request changed (on
 //    the candidate's processors, the entries at or below its priority and
 //    those whose blocking term moved; everything, if the divergence cap
-//    moved), warm-starting the touched fixpoints, and SA/DS seeds the
-//    IEERT iteration from the previous converged table, forcing exactly
-//    the equation-changed entries and letting the dependency dirty-skip
-//    propagate from there.
+//    moved), seeding the touched fixpoints from their stored ones, and
+//    SA/DS seeds the IEERT iteration from the previous converged table,
+//    forcing exactly the equation-changed entries and letting the
+//    dependency dirty-skip propagate from there.
 //
 // Both are required to produce bit-identical verdicts, bounds, and fold
 // hashes on every request of every stream; bench_admission enforces this
 // with cross-folded result hashes and the admission property test
 // re-checks it after every single request. The incremental engines'
-// soundness rests on the least-fixpoint facts documented at
-// solve_response_bound (core/analysis/kernels.h) and in ieert.h: a
-// previous fixpoint seeds the new iteration only when demand grew and
-// the cap did not shrink. That monotone-seed contract is the engines'
-// own -- the offline analyses always start cold. Where a perturbation
-// breaks it (a removal, a cap change) they fall back to cold
-// recomputation of exactly the affected cone.
+// soundness rests on the seed rule of FixpointSeeds
+// (core/analysis/kernels.h): non-empty seeds must be lower bounds of the
+// fixpoints being solved, which a previous fixpoint is only when demand
+// grew and the cap did not shrink. Keeping that true across requests is
+// the engines' job -- the offline analyses seed only between IEERT
+// passes. Where a perturbation breaks it (a removal, a cap change) they
+// fall back to cold recomputation of exactly the affected cone.
 #pragma once
 
 #include <cstdint>

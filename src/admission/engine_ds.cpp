@@ -16,39 +16,42 @@
 //    pin content_hash()). The map also supplies the IEERT dependency
 //    edges (an entry reads its own and each interferer's predecessor),
 //    so no separate dependency lists are kept;
-//  * the committed converged SubtaskTable plus per-subtask fixpoint
-//    warm seeds, delta-maintained and swept IN PLACE by ieert_sweep (no
-//    per-pass table copy).
+//  * the committed converged SubtaskTable plus per-subtask FixpointSeeds,
+//    delta-maintained and swept IN PLACE by ieert_sweep (no per-pass
+//    table copy).
 //
 // Per-request seeding:
 //
 //  * admit (single or batch): demand only grows, so every old entry
 //    under-approximates the new fixpoint. Survivors keep their values
-//    and warm seeds; entries whose demand equation changed -- the
+//    and seeds; entries whose demand equation changed -- the
 //    candidates' own, and every resident whose interference set a
 //    candidate subtask joins or whose blocking term a non-preemptible
 //    candidate subtask may set -- are force-flagged, and the dependency
-//    tracking propagates any growth transitively. The sweep journals pre-trial
-//    values first-touch, so a rejected trial rolls back byte-for-byte.
+//    tracking propagates any growth transitively.
 //
 //  * remove: demand shrinks, so old values OVER-approximate and must
 //    not seed the affected entries. The engine resets exactly the dirty
 //    cone -- the closure, under reverse IEERT dependencies, of the
 //    entries whose equation depended on a departed subtask -- to the
-//    optimistic init with cold fixpoints; entries outside the cone provably keep
-//    their exact old fixpoint values (no input of theirs changes).
+//    optimistic init with empty seeds; entries outside the cone provably
+//    keep their exact old fixpoint values (no input of theirs changes).
 //
 //  * a divergence-cap change (2 x 300 x the max live period, so it
 //    moves only when the maximum period changes) invalidates even
-//    infinite entries in both directions; the engine falls back to a
-//    cold analyze_sa_ds run over the SAME persistent structures, which
-//    is byte-identical to the offline analysis the full engine runs --
-//    including the trajectory-dependent table of a pass-budget blowout.
-//    A non-converged committed state also forces the next request cold
-//    (its mid-iteration bytes are not a valid monotone seed).
+//    infinite entries in both directions; the engine then runs cold: it
+//    re-initialises the table in place (Figure 11 step 1, empty seeds,
+//    no dirty flags) and sweeps, the exact sequence analyze_sa_ds runs
+//    over the SAME persistent structures, so the table is byte-identical
+//    to the full engine's -- including the trajectory-dependent table of
+//    a pass-budget blowout. A seeded trial that blows the budget, and a
+//    non-converged committed state, run cold too (mid-iteration bytes
+//    are not a valid monotone seed).
 //
 // Commit semantics: an accepted admit and every remove commit the
-// table; a rejected admit restores the sweep journal and removes the
+// table. Every admit trial, seeded or cold, runs with the IeertSweepUndo
+// journal armed, which records each entry's value and seeds before the
+// trial first writes them; a rejected admit replays it and removes the
 // candidate rows from the system, table and interference map, leaving
 // the engine bit-identical to before the request.
 #include <algorithm>
@@ -91,11 +94,19 @@ Task task_from_spec(const TaskSpec& spec) {
   return t;
 }
 
-/// Whether adding or removing subtask `changed` alters the IEERT equation
-/// of `resident` on the same processor: `changed` is in its interference
-/// set (priority >= its own) or, being non-preemptible, may set its
-/// blocking term.
-bool equation_depends_on(const Subtask& changed, const Subtask& resident) {
+/// What the remove cone reads of a departed subtask.
+struct DepartedSubtask {
+  ProcessorId processor;
+  Priority priority;
+  bool preemptible = true;
+};
+
+/// Whether adding or removing subtask `changed` (a Subtask or a
+/// DepartedSubtask) alters the IEERT equation of `resident` on the same
+/// processor: `changed` is in its interference set (priority >= its own)
+/// or, being non-preemptible, may set its blocking term.
+template <typename Changed>
+bool equation_depends_on(const Changed& changed, const Subtask& resident) {
   return !changed.preemptible ||
          higher_or_equal_priority(changed.priority, resident.priority);
 }
@@ -124,28 +135,21 @@ class IncrementalDsEngine final : public Engine {
       imap_.apply_admit(*system_);
     }
     const std::size_t count = imap_.subtask_count();
-    state_.warm.resize(count);  // candidate seeds start cold
+    state_.seeds.resize(count);  // candidate seeds start cold
     for (std::size_t ti = old_tasks; ti < system_->task_count(); ++ti) {
       const Task& t = system_->tasks()[ti];
       table_.append_row(t.subtasks.size(), 0);
-      Duration cumulative = 0;  // Figure 11 step 1: optimistic init
-      for (const Subtask& s : t.subtasks) {
-        cumulative += s.execution_time;
-        table_.set(s.ref, cumulative);
-      }
+      for_each_optimistic_init(t,
+                               [&](const Subtask& s, Duration r0) { table_.set(s.ref, r0); });
       slots_.push_back(first_slot + static_cast<std::uint32_t>(ti - old_tasks));
     }
 
-    // -- One analysis trajectory over the grown structures. --
+    // -- One analysis trajectory over the grown structures, journaled. --
+    undo_.arm(count);
     const Time new_cap = divergence_cap();
-    bool cold = new_cap != cap_ || !converged_;
-    SubtaskTable pre_table;              // wholesale snapshot, cold trials only
-    std::vector<IeertWarmEntry> pre_warm;
-    bool trial_converged;
-    if (cold) {
-      pre_table = table_;
-      pre_warm = state_.warm;
-      trial_converged = run_cold();
+    bool trial_converged = false;
+    if (new_cap != cap_ || !converged_) {
+      trial_converged = run_cold(&undo_);
     } else {
       state_.changed.assign(count, 0);  // arm the dependency dirty-skip
       state_.force.assign(count, 0);
@@ -162,21 +166,10 @@ class IncrementalDsEngine final : public Engine {
           }
         }
       }
-      undo_.arm(count);
       trial_converged = sweep_to_fixpoint(&undo_);
-      if (!trial_converged) {
-        // Pass-budget blowout: reconstruct the pre-trial snapshot from
-        // the journal, then run the cold trajectory (the only one whose
-        // mid-iteration bytes match the offline analyze_sa_ds).
-        pre_table = table_;
-        pre_warm = state_.warm;
-        for (const IeertSweepUndo::Entry& e : undo_.entries) {
-          pre_table.set(e.ref, e.value);
-          pre_warm[e.flat] = e.warm;
-        }
-        cold = true;
-        trial_converged = run_cold();
-      }
+      // Pass-budget blowout: only the cold trajectory's mid-iteration
+      // bytes match the offline analyze_sa_ds.
+      if (!trial_converged) trial_converged = run_cold(&undo_);
     }
 
     refresh_outcomes(trial_converged);
@@ -188,21 +181,13 @@ class IncrementalDsEngine final : public Engine {
 
     // -- Reject: restore everything byte-for-byte. --
     TrialFailure failure = failure_of(first_slot);
-    if (cold) {
-      table_ = std::move(pre_table);
-      state_.warm = std::move(pre_warm);
-    } else {
-      for (const IeertSweepUndo::Entry& e : undo_.entries) {
-        table_.set(e.ref, e.value);
-        state_.warm[e.flat] = e.warm;
-      }
-    }
+    undo_.replay(table_, state_);
     for (std::size_t k = specs.size(); k-- > 0;) {
       table_.remove_row(old_tasks + k);
       system_->remove_task(old_tasks + k);
       imap_.apply_remove(old_tasks + k);
     }
-    state_.warm.resize(old_count);
+    state_.seeds.resize(old_count);
     slots_.resize(old_tasks);
     refresh_outcomes(converged_);
     return {false, std::move(failure)};
@@ -216,10 +201,13 @@ class IncrementalDsEngine final : public Engine {
     const auto it = std::find(slots_.begin(), slots_.end(), slot);
     E2E_ASSERT(it != slots_.end(), "remove: slot not tracked");
     const auto idx = static_cast<std::size_t>(it - slots_.begin());
-    const std::vector<Subtask> departed = system_->tasks()[idx].subtasks;
+    departed_.clear();
+    for (const Subtask& s : system_->tasks()[idx].subtasks) {
+      departed_.push_back({s.processor, s.priority, s.preemptible});
+    }
     const std::size_t base =
         imap_.flat_index(SubtaskRef{TaskId{static_cast<std::int32_t>(idx)}, 0});
-    const std::size_t len = departed.size();
+    const std::size_t len = departed_.size();
     const std::size_t old_count = imap_.subtask_count();
     const std::size_t count = old_count - len;
 
@@ -228,12 +216,12 @@ class IncrementalDsEngine final : public Engine {
     imap_.apply_remove(idx);
     table_.remove_row(idx);
     slots_.erase(it);
-    state_.warm.erase(state_.warm.begin() + static_cast<std::ptrdiff_t>(base),
-                      state_.warm.begin() + static_cast<std::ptrdiff_t>(base + len));
+    state_.seeds.erase(state_.seeds.begin() + static_cast<std::ptrdiff_t>(base),
+                       state_.seeds.begin() + static_cast<std::ptrdiff_t>(base + len));
 
     const Time new_cap = divergence_cap();
     if (new_cap != cap_ || !converged_) {
-      converged_ = run_cold();
+      converged_ = run_cold(nullptr);
     } else {
       state_.changed.assign(count, 0);
       state_.force.assign(count, 0);
@@ -241,7 +229,7 @@ class IncrementalDsEngine final : public Engine {
       // subtask (interference sets shrank, blocking terms may have) ...
       std::vector<std::uint8_t> in_cone(count, 0);
       std::vector<std::uint32_t> queue;
-      for (const Subtask& d : departed) {
+      for (const DepartedSubtask& d : departed_) {
         for (const SubtaskRef ref : system_->subtasks_on(d.processor)) {
           const auto flat = static_cast<std::uint32_t>(imap_.flat_index(ref));
           if (in_cone[flat] != 0 || !equation_depends_on(d, system_->subtask(ref))) continue;
@@ -281,18 +269,16 @@ class IncrementalDsEngine final : public Engine {
       // Cone entries restart from the optimistic init with cold seeds
       // (their old values over-approximate the shrunk fixpoint).
       for (const Task& t : system_->tasks()) {
-        Duration cumulative = 0;
-        for (const Subtask& s : t.subtasks) {
-          cumulative += s.execution_time;
+        for_each_optimistic_init(t, [&](const Subtask& s, Duration r0) {
           const std::size_t flat = imap_.flat_index(s.ref);
-          if (in_cone[flat] == 0) continue;
-          table_.set(s.ref, cumulative);
-          state_.warm[flat] = IeertWarmEntry{};
+          if (in_cone[flat] == 0) return;
+          table_.set(s.ref, r0);
+          state_.seeds[flat].clear();
           state_.force[flat] = 1;
-        }
+        });
       }
       converged_ = sweep_to_fixpoint(nullptr);
-      if (!converged_) converged_ = run_cold();
+      if (!converged_) converged_ = run_cold(nullptr);
     }
     cap_ = new_cap;
     refresh_outcomes(converged_);
@@ -346,10 +332,11 @@ class IncrementalDsEngine final : public Engine {
     imap_ = InterferenceMap{*system_};
     table_ = SubtaskTable{*system_, 0};
     state_ = IeertIncrementalState{};
+    state_.seeds.resize(imap_.subtask_count());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       slots_.push_back(first_slot + static_cast<std::uint32_t>(i));
     }
-    const bool trial_converged = run_cold();
+    const bool trial_converged = run_cold(nullptr);
     refresh_outcomes(trial_converged);
     if (all_schedulable()) {
       cap_ = divergence_cap();
@@ -387,18 +374,15 @@ class IncrementalDsEngine final : public Engine {
         .converged;
   }
 
-  /// The cold-trajectory fallback: the exact offline analysis over the
-  /// persistent system and interference map -- byte-identical to what
-  /// the full-recompute engine runs (including the mid-iteration table
-  /// of a non-converged run). Warm seeds and dirty flags no longer
-  /// describe the table afterwards, so they reset cold.
-  [[nodiscard]] bool run_cold() {
-    SaDsResult result = analyze_sa_ds(*system_, imap_, options_);
-    table_ = std::move(result.analysis.subtask_bounds);
-    state_.warm.assign(imap_.subtask_count(), {});
-    state_.changed.clear();
-    state_.force.clear();
-    return result.converged;
+  /// The cold trajectory, in place: analyze_sa_ds's own code over the
+  /// persistent table, so it comes out byte-identical to the
+  /// full-recompute engine's, even the mid-iteration table of a
+  /// pass-budget blowout.
+  [[nodiscard]] bool run_cold(IeertSweepUndo* undo) {
+    return sweep_sa_ds_from_init(*system_, imap_, table_,
+                                 sa_ds_ieert_options(*system_, options_),
+                                 options_.max_passes, state_, undo)
+        .converged;
   }
 
   /// Per-task EERs from the committed table: the last subtask's IEER
@@ -451,11 +435,12 @@ class IncrementalDsEngine final : public Engine {
   std::vector<std::uint32_t> slots_;  ///< per task index, ascending
   InterferenceMap imap_;
   SubtaskTable table_;           ///< committed (converged) IEER bounds
-  IeertIncrementalState state_;  ///< persistent warm seeds
+  IeertIncrementalState state_;  ///< persistent fixpoint seeds
   std::vector<Duration> eers_;   ///< per task index
   Time cap_ = -1;        ///< divergence cap of the committed analysis; -1 = none
   bool converged_ = true;  ///< committed table reached a fixpoint
   IeertSweepUndo undo_;    ///< reusable trial journal
+  std::vector<DepartedSubtask> departed_;  ///< reusable remove buffer
 };
 
 }  // namespace

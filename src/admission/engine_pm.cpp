@@ -4,8 +4,8 @@
 // equation: (period, exec, jitter, blocking, cap) plus the co-located
 // higher-or-equal-priority interferer parameters. The engine therefore
 // keeps, per processor, a plane of resident subtask entries, and per
-// subtask its converged bound, SubtaskScratch fixpoints and the blocking
-// term they were solved with, and on every request re-solves exactly the
+// subtask its converged bound, its fixpoint seeds and the blocking term
+// they were solved with, and on every request re-solves exactly the
 // entries whose equation changed, by a structural rule: an entry of a
 // touched plane is re-solved iff
 //
@@ -20,11 +20,11 @@
 // is bit-identical, so its stored fixpoints stand with no monotonicity
 // argument. Further:
 //
-//  * admits never shrink demand or the cap, so re-solves warm-start from
-//    the stored fixpoints (monotone warm start; entries whose previous
-//    bound was infinite restart cold, since a larger cap can turn
-//    "unbounded" into a finite bound);
-//  * removes shrink demand, so touched entries restart cold;
+//  * admits never shrink demand or the cap, so the stored fixpoints are
+//    lower bounds of the new ones and re-solves start from them (an
+//    unbounded solve stores no seeds, so those entries restart cold);
+//  * removes shrink demand, so a touched entry's seeds are cleared and
+//    it restarts cold;
 //  * the divergence cap is 300 x the maximum live period; when the
 //    maximum period changes, every equation in the system changes and
 //    the sweep widens to all processors -- rare under steady churn.
@@ -41,7 +41,7 @@
 // planes and the per-request buffers have grown to the working set.
 //
 // A rejected admit rolls back by swap-restore: before a resident entry
-// is re-solved its scratch and blocking term are copied into a member
+// is re-solved its bound, seeds and blocking term are copied into a member
 // snapshot pool (which keeps its capacity), and a rejection swaps every
 // snapshot back; EERs, the failing set and the margin memo are restored
 // from undo records. Trial state never leaks. `query`'s margin is memoised: a refresh that
@@ -68,13 +68,14 @@ namespace {
 
 constexpr std::uint32_t kNoTask = std::numeric_limits<std::uint32_t>::max();
 
-/// Per-subtask analysis state. `scratch.bound` is the committed bound
-/// R_{i,j}; `blocking` the blocking term it was solved with.
+/// Per-subtask analysis state: the committed bound R_{i,j}, the blocking
+/// term and the fixpoint seeds it was solved with.
 struct PmSub {
   int processor = -1;
   int level = 0;
   Duration blocking = 0;
-  SubtaskScratch scratch;
+  Duration bound = 0;
+  FixpointSeeds seeds;
 };
 
 struct PmTask {
@@ -174,8 +175,9 @@ class IncrementalPmEngine final : public Engine {
     for (std::size_t k = 0; k < snap_count_; ++k) {
       Snapshot& snap = snaps_[k];
       PmSub& sub = tasks_[snap.task].subs[snap.sub];
-      std::swap(snap.scratch, sub.scratch);
+      std::swap(snap.seeds, sub.seeds);
       sub.blocking = snap.blocking;
+      sub.bound = snap.bound;
     }
     for (const auto& [h, eer] : eer_undo_) tasks_[h].eer = eer;
     for (std::size_t k = failing_undo_.size(); k-- > 0;) {
@@ -223,7 +225,7 @@ class IncrementalPmEngine final : public Engine {
       const PmTask& task = tasks_[h];
       acc = hash_combine(acc, static_cast<std::uint64_t>(task.eer));
       for (const PmSub& sub : task.subs) {
-        acc = hash_combine(acc, static_cast<std::uint64_t>(sub.scratch.bound));
+        acc = hash_combine(acc, static_cast<std::uint64_t>(sub.bound));
       }
     }
     return acc;
@@ -253,7 +255,8 @@ class IncrementalPmEngine final : public Engine {
     std::uint32_t task = 0;
     std::uint32_t sub = 0;
     Duration blocking = 0;
-    SubtaskScratch scratch;
+    Duration bound = 0;
+    FixpointSeeds seeds;
   };
 
   /// Starts a request: sizes the per-processor buffers (once) and
@@ -298,7 +301,7 @@ class IncrementalPmEngine final : public Engine {
 
   /// Re-solves the entries of plane `p` the structural rule names (see
   /// the top of the file). `first_candidate` is set for an admit trial
-  /// (warm re-solves, residents snapshotted first) and unset for a
+  /// (seeded re-solves, residents snapshotted first) and unset for a
   /// remove (cold re-solves, always committed).
   void solve_plane(std::uint32_t p, Time cap, bool cap_changed,
                    std::optional<std::uint32_t> first_candidate) {
@@ -333,15 +336,13 @@ class IncrementalPmEngine final : public Engine {
       const Duration blocking = blocking_[hp_end];
       PmSub& sub = tasks_[entry.task].subs[entry.sub];
       if (!cap_changed && entry.level < from && blocking == sub.blocking) continue;
-      bool warm = false;
-      if (first_candidate.has_value()) {
-        if (entry.slot < *first_candidate) snapshot(entry.task, entry.sub);
-        // Admits only grow demand and the cap, so finite fixpoints
-        // warm-start; a previously unbounded entry must restart cold.
-        warm = sub.scratch.has && !is_infinite(sub.scratch.bound);
+      if (!first_candidate.has_value()) {
+        // On a remove demand shrank: the old fixpoints over-approximate
+        // the new ones, so the solve restarts cold.
+        sub.seeds.clear();
+      } else if (entry.slot < *first_candidate) {
+        snapshot(entry.task, entry.sub);
       }
-      // On a remove demand shrank: the old fixpoint over-approximates,
-      // so the solve restarts cold.
       const ResponseEquation eq{.period = plane.periods[i],
                                 .exec = plane.execs[i],
                                 .jitter = plane.jitters[i],
@@ -350,7 +351,7 @@ class IncrementalPmEngine final : public Engine {
       // The paper's H set: every entry before this one, plus the rest of
       // its level.
       const HpRuns hp{plane.run(0, i), plane.run(i + 1, hp_end)};
-      (void)solve_response_bound(eq, hp, &sub.scratch, warm);
+      sub.bound = solve_response_bound(eq, hp, &sub.seeds);
       sub.blocking = blocking;
       PmTask& task = tasks_[entry.task];
       if (task.mark != epoch_) {
@@ -365,8 +366,10 @@ class IncrementalPmEngine final : public Engine {
     Snapshot& snap = snaps_[snap_count_++];
     snap.task = task;
     snap.sub = sub;
-    snap.blocking = tasks_[task].subs[sub].blocking;
-    snap.scratch = tasks_[task].subs[sub].scratch;  // reuses snap's capacity
+    const PmSub& from = tasks_[task].subs[sub];
+    snap.blocking = from.blocking;
+    snap.bound = from.bound;
+    snap.seeds = from.seeds;  // reuses snap's capacity
   }
 
   /// Same expression as analyze_sa_pm's cap so bounds agree with the
@@ -380,7 +383,7 @@ class IncrementalPmEngine final : public Engine {
   void refresh_task(std::uint32_t h) {
     PmTask& task = tasks_[h];
     Duration eer = 0;
-    for (const PmSub& sub : task.subs) eer = sat_add(eer, sub.scratch.bound);
+    for (const PmSub& sub : task.subs) eer = sat_add(eer, sub.bound);
     task.eer = eer;
     const bool failing = is_infinite(eer) || eer > task.deadline;
     if (set_failing(task.slot, failing)) failing_undo_.emplace_back(task.slot, !failing);
@@ -438,7 +441,7 @@ class IncrementalPmEngine final : public Engine {
       PmSub& rec = task.subs[j];
       rec.processor = sub.processor;
       rec.level = sub.priority_level;
-      rec.scratch.has = false;  // the first solve is cold and overwrites it
+      rec.seeds.clear();  // a reused record's seeds belong to another task
       const PlaneEntry entry{.level = sub.priority_level,
                              .preemptible = sub.preemptible,
                              .slot = slot,
@@ -492,7 +495,7 @@ class IncrementalPmEngine final : public Engine {
         .eer = task.eer,
         .deadline = task.deadline};
     for (const PmSub& sub : task.subs) {
-      failure.subtask_bounds.push_back(sub.scratch.bound);
+      failure.subtask_bounds.push_back(sub.bound);
     }
     return failure;
   }

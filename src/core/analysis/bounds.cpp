@@ -44,14 +44,6 @@ bool SubtaskTable::any_infinite() const noexcept {
   return false;
 }
 
-bool SubtaskTable::shaped_like(const TaskSystem& system) const noexcept {
-  if (values_.size() != system.task_count()) return false;
-  for (const Task& t : system.tasks()) {
-    if (values_[t.id.index()].size() != t.subtasks.size()) return false;
-  }
-  return true;
-}
-
 bool AnalysisResult::all_bounded() const noexcept {
   for (const Duration b : eer_bounds) {
     if (is_infinite(b)) return false;

@@ -67,10 +67,6 @@ class SubtaskTable {
   /// True if any entry is kTimeInfinity.
   [[nodiscard]] bool any_infinite() const noexcept;
 
-  /// True if this table has one entry per subtask of `system` (the shape
-  /// check warm-started analyses run before trusting a scratch table).
-  [[nodiscard]] bool shaped_like(const TaskSystem& system) const noexcept;
-
   friend bool operator==(const SubtaskTable&, const SubtaskTable&) = default;
 
  private:

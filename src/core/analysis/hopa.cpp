@@ -104,13 +104,7 @@ HopaResult optimize_priorities_hopa(const TaskSystem& system,
   E2E_ASSERT(options.iterations >= 0, "iterations must be non-negative");
 
   HopaResult result{.system = system};
-  // One scratch spans the initial analysis and every round: a priority
-  // reshuffle typically leaves most subtasks' demand equations untouched,
-  // and those reuse their converged fixpoints by signature.
-  AnalysisScratch scratch;
-  AnalysisScratch* sc = options.warm_start ? &scratch : nullptr;
-  AnalysisResult analysis =
-      analyze_sa_pm(result.system, InterferenceMap{result.system}, options.analysis, sc);
+  AnalysisResult analysis = analyze_sa_pm(result.system, options.analysis);
   result.initial_margin = margin_of(analysis, result.system, options.unbounded_margin);
   result.margin = result.initial_margin;
 
@@ -144,8 +138,8 @@ HopaResult optimize_priorities_hopa(const TaskSystem& system,
     // The redistribution usually reaches a fixpoint within a few rounds;
     // once the levels stop moving, rebuilding the system and re-analyzing
     // would reproduce `analysis` bit for bit round after round. The fast
-    // path skips that recomputation; the pre-PR shape (warm_start off)
-    // rebuilds every round.
+    // path skips that recomputation; with warm_start off every round
+    // rebuilds.
     if (options.warm_start && levels_unchanged(current, levels)) {
       const double margin = margin_of(analysis, current, options.unbounded_margin);
       if (margin < result.margin) {
@@ -158,7 +152,7 @@ HopaResult optimize_priorities_hopa(const TaskSystem& system,
       continue;
     }
     current = with_priorities(current, levels);
-    analysis = analyze_sa_pm(current, InterferenceMap{current}, options.analysis, sc);
+    analysis = analyze_sa_pm(current, options.analysis);
     const double margin = margin_of(analysis, current, options.unbounded_margin);
     if (margin < result.margin) {
       result.margin = margin;

@@ -25,13 +25,12 @@ struct HopaOptions {
   double unbounded_margin = 1e9;
   /// Options forwarded to each SA/PM run.
   SaPmOptions analysis = {};
-  /// Carry one AnalysisScratch across rounds, so subtasks whose demand
-  /// equation a priority reshuffle did not touch reuse their previous
-  /// fixpoints (signature-exact, hence bit-identical results), and skip
-  /// the rebuild + re-analysis entirely once the deadline redistribution
-  /// stops moving any priority level (the common case after a few
-  /// rounds). Off analyzes every round from scratch; the returned
-  /// HopaResult is identical either way.
+  /// Skip the rebuild + re-analysis of a round once the deadline
+  /// redistribution stops moving any priority level (the common case
+  /// after a few rounds): the analysis would reproduce the previous
+  /// round's bit for bit. Off rebuilds and analyzes every round, the
+  /// reference the tests and bench_analysis compare against; the
+  /// returned HopaResult is identical either way.
   bool warm_start = true;
 };
 

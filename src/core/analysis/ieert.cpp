@@ -44,7 +44,7 @@ Duration release_jitter(const TaskSystem& system, SubtaskRef ref,
 Duration bound_subtask_ieer(const TaskSystem& system, const InterferenceMap& interference,
                             const Subtask& subtask, const SubtaskTable& current,
                             const IeertOptions& options, std::vector<Duration>& hp_jitter,
-                            IeertWarmEntry* warm) {
+                            FixpointSeeds* seeds) {
   const Task& task = system.task(subtask.ref.task);
   const std::span<const SubtaskRef> hp_refs = interference.of(subtask.ref);
   hp_jitter.resize(hp_refs.size());
@@ -65,7 +65,7 @@ Duration bound_subtask_ieer(const TaskSystem& system, const InterferenceMap& int
                     : kTimeInfinity,
       .cap = options.cap};
   const InterferenceMap::SoaView hp = interference.soa_of(subtask.ref);
-  return solve_ieer_bound(eq, HpView{hp.periods, hp.execs, hp_jitter}, warm);
+  return solve_ieer_bound(eq, HpView{hp.periods, hp.execs, hp_jitter}, seeds);
 }
 
 }  // namespace
@@ -74,7 +74,7 @@ std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interfe
                         SubtaskTable& table, const IeertOptions& options,
                         IeertIncrementalState& state, IeertSweepUndo* undo) {
   const std::size_t count = interference.subtask_count();
-  E2E_ASSERT(state.warm.size() == count, "ieert_sweep: warm not sized");
+  E2E_ASSERT(state.seeds.size() == count, "ieert_sweep: seeds not sized");
   E2E_ASSERT(undo == nullptr || undo->seen.size() == count,
              "ieert_sweep: undo journal not armed");
 
@@ -112,17 +112,9 @@ std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interfe
                                                : s.ref.index > 0 && changed(flat - 1));
       }
       if (!stale) continue;  // recomputing would reproduce the entry exactly
-      if (undo != nullptr && undo->seen[flat] == 0) {
-        undo->seen[flat] = 1;
-        undo->entries.push_back(IeertSweepUndo::Entry{
-            .ref = s.ref,
-            .flat = static_cast<std::uint32_t>(flat),
-            .value = table.at(s.ref),
-            .warm = state.warm[flat],
-        });
-      }
+      if (undo != nullptr) undo->record(s.ref, flat, table.at(s.ref), state.seeds[flat]);
       const Duration bound = bound_subtask_ieer(system, interference, s, table, options,
-                                                hp_jitter, &state.warm[flat]);
+                                                hp_jitter, &state.seeds[flat]);
       if (bound != table.at(s.ref)) {
         sweep_changed[flat] = 1;
         if (incremental) {

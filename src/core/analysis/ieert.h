@@ -16,10 +16,14 @@
 // with R_{u,0} := 0 (first subtasks have no jitter).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/analysis/bounds.h"
 #include "core/analysis/interference.h"
+#include "core/analysis/kernels.h"
 #include "task/system.h"
 
 namespace e2e {
@@ -46,18 +50,6 @@ struct IeertOptions {
   double failure_period_multiplier = 0.0;
 };
 
-/// Per-subtask fixpoint seeds carried across passes. The IEERT iteration
-/// is a Kleene sequence -- the table only grows -- so every jitter term
-/// only grows pass over pass, and with it each subtask's busy-period and
-/// per-instance completion fixpoints. Seeding this pass's fixpoints from
-/// last pass's values is therefore a monotone warm start: it converges
-/// to exactly the cold-start least fixpoint, usually in one or two
-/// iterations instead of re-deriving the whole busy period.
-struct IeertWarmEntry {
-  Time busy = 0;                  ///< last pass's busy-period duration
-  std::vector<Time> completions;  ///< last pass's C(m), 1-indexed by m-1
-};
-
 /// Dirty-tracking state for incremental IEERT iteration. A subtask's
 /// refined bound is a pure function of the table entries of its own
 /// predecessor and of each interferer's predecessor (the jitter terms,
@@ -81,23 +73,26 @@ struct IeertIncrementalState {
   std::vector<std::uint8_t> force;
   /// Per flat subtask index: fixpoint seeds from the last recomputation.
   /// Callers size it to the system's subtask count (new entries start
-  /// cold). Pre-seeded entries are honored; they must under-approximate
-  /// the fixpoints being solved.
-  std::vector<IeertWarmEntry> warm;
+  /// cold). The IEERT iteration is a Kleene sequence -- the table only
+  /// grows -- so every jitter term, and with it each subtask's busy-period
+  /// and completion fixpoints, only grows pass over pass: last pass's
+  /// fixpoints are lower bounds of this pass's (see FixpointSeeds).
+  /// Seeds carried in from elsewhere must be lower bounds too.
+  std::vector<FixpointSeeds> seeds;
 };
 
-/// First-touch journal of one or more in-place ieert_sweep() calls:
-/// everything needed to restore the table and warm seeds of a rejected
-/// admission trial byte-for-byte. `arm(count)` resets it for a new
-/// trial; each recomputed entry's pre-trial value and warm seed are
-/// recorded exactly once (at first recomputation), so replaying the
-/// journal in any order restores the pre-trial state.
+/// First-touch journal of the in-place writes of one admission trial:
+/// everything needed to restore the table and seeds of a rejected trial
+/// byte-for-byte. `arm(count)` resets it for a new trial; each entry's
+/// pre-trial value and seeds are recorded exactly once, before its first
+/// write (ieert_sweep records every entry it recomputes), so replaying
+/// the journal in any order restores the pre-trial state.
 struct IeertSweepUndo {
   struct Entry {
     SubtaskRef ref;
     std::uint32_t flat = 0;
     Duration value = 0;
-    IeertWarmEntry warm;
+    FixpointSeeds seeds;
   };
   std::vector<std::uint8_t> seen;  ///< per flat index: already journaled
   std::vector<Entry> entries;
@@ -105,6 +100,25 @@ struct IeertSweepUndo {
   void arm(std::size_t count) {
     seen.assign(count, 0);
     entries.clear();
+  }
+
+  /// Journals entry `flat` unless it already is.
+  void record(SubtaskRef ref, std::size_t flat, Duration value,
+              const FixpointSeeds& seeds) {
+    if (seen[flat] != 0) return;
+    seen[flat] = 1;
+    entries.push_back(Entry{.ref = ref,
+                            .flat = static_cast<std::uint32_t>(flat),
+                            .value = value,
+                            .seeds = seeds});
+  }
+
+  /// Restores every journaled entry of `table` and `state.seeds`.
+  void replay(SubtaskTable& table, IeertIncrementalState& state) {
+    for (Entry& e : entries) {
+      table.set(e.ref, e.value);
+      state.seeds[e.flat] = std::move(e.seeds);
+    }
   }
 };
 
@@ -117,14 +131,15 @@ struct IeertSweepUndo {
 /// later ones immediately, so a chain's growth propagates in one sweep
 /// instead of one link per sweep. Entries whose inputs did not change
 /// (see IeertIncrementalState) are skipped, and each recomputed fixpoint
-/// warm-starts from its previous value. Chaotic iteration of the
+/// starts from its seed. Chaotic iteration of the
 /// monotone IEERT operator from an under-approximation reaches the same
 /// least fixpoint as the paper's Jacobi passes, so the converged table
 /// is bit-identical; only the number of sweeps to reach it shrinks.
 ///
-/// `state.warm` must be sized to the system's subtask count;
-/// `state.changed` empty means "recompute everything". With `undo`, pre-recomputation values and warm seeds are
-/// journaled (first touch only) for trial rollback.
+/// `state.seeds` must be sized to the system's subtask count;
+/// `state.changed` empty means "recompute everything". With `undo`,
+/// pre-recomputation values and seeds are journaled (first touch only)
+/// for trial rollback.
 std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interference,
                         SubtaskTable& table, const IeertOptions& options,
                         IeertIncrementalState& state, IeertSweepUndo* undo = nullptr);

@@ -10,18 +10,18 @@
 // result == full recompute" an identity of code paths rather than a
 // numerical coincidence.
 //
-// Both solvers accept the warm-start state from core/analysis/scratch.h /
-// ieert.h; warm seeds are only ever accelerators (see the declarations
-// below for the monotonicity arguments) and never change the returned
-// bound.
+// Both solvers take one seed type, FixpointSeeds, under one rule:
+// non-empty seeds are lower bounds on the fixpoints being solved and are
+// always used, and a solve leaves its own fixpoints in them. A seed at or
+// below a least fixpoint still converges to exactly that fixpoint, so
+// seeds only ever shorten iterations; they never change a bound. Keeping
+// the seeds below the fixpoints is the caller's job (see FixpointSeeds).
 #pragma once
 
-#include <cstdint>
+#include <vector>
 
 #include "common/time.h"
-#include "core/analysis/ieert.h"
 #include "core/analysis/interference.h"
-#include "core/analysis/scratch.h"
 
 namespace e2e {
 
@@ -50,31 +50,37 @@ struct ResponseEquation {
   Time cap = kTimeInfinity;  ///< fixpoint divergence cap
 };
 
-/// Content hash of one SA/PM demand equation: every parameter the step
-/// 1-4 fixpoints read. Equal signatures mean equal equations, hence equal
-/// least fixpoints. Note the hash folds the interferers in span order, so
-/// signatures are only comparable between runs that enumerate the same
-/// storage (which is how sa_pm.cpp uses it).
-[[nodiscard]] std::uint64_t response_equation_signature(const ResponseEquation& eq,
-                                                        const HpView& hp);
+/// One subtask's fixpoint seeds: its busy-period duration and its
+/// completion times C(m), m = 1..M, stored at m-1. Empty (busy == 0, no
+/// completions) means "solve cold". A solve writes its own fixpoints
+/// over them in place, keeping the capacity.
+///
+/// Seeds left by one equation stay valid for the next whenever the next
+/// one's demand and cap are no smaller: the SA/PM admission engine across
+/// admits, and every IEERT sweep (jitters only grow pass over pass).
+/// Where demand can shrink -- an admission remove -- the caller clears
+/// the seeds first.
+struct FixpointSeeds {
+  Time busy = 0;
+  std::vector<Time> completions;
+
+  void clear() noexcept {
+    busy = 0;
+    completions.clear();
+  }
+};
 
 /// Upper bound R_{i,j} on the response time of one strictly periodic
-/// subtask (SA/PM steps 1-4), or kTimeInfinity.
-///
-/// `sc` (optional) receives the converged fixpoints; with `warm` the
-/// previous contents seed the iterations. That is sound only when the
-/// caller knows every recorded value is <= the new least fixpoint (the
-/// SA/PM admission engine after an admit: demand and cap only grew), so
-/// the iteration still converges to exactly the new least fixpoint. An
-/// unbounded entry records no seeds, so a warm solve over it runs cold.
+/// subtask (SA/PM steps 1-4), or kTimeInfinity. `seeds` (optional) seed
+/// the fixpoints and receive the converged ones; an unbounded solve
+/// leaves them empty, so the next solve of that subtask runs cold.
 ///
 /// C(1) is solved first: when C(1) + J <= p the busy period holds one
 /// instance and equals C(1), so no busy-period fixpoint is iterated (see
 /// docs/analysis.md for the proof). The results are those of the
 /// textbook order -- busy period, instance count, C(1..M).
 [[nodiscard]] Duration solve_response_bound(const ResponseEquation& eq,
-                                            const HpRuns& hp, SubtaskScratch* sc,
-                                            bool warm);
+                                            const HpRuns& hp, FixpointSeeds* seeds);
 
 /// Scalar inputs of one IEERT subtask equation. `hp` carries the per-pass
 /// jitter terms in its `jitters` span (predecessor IEER bounds, optionally
@@ -95,11 +101,10 @@ struct IeerEquation {
 };
 
 /// One application of the IEERT per-subtask equation (steps 1-4 of
-/// Figure 10) under the current jitter terms, or kTimeInfinity. `warm`
-/// (optional) carries last pass's fixpoints; sound as a seed because the
-/// IEERT iteration is a Kleene sequence (jitters only grow pass over
-/// pass, see IeertWarmEntry).
+/// Figure 10) under the current jitter terms, or kTimeInfinity. `seeds`
+/// (optional) carry last pass's fixpoints and receive this pass's; an
+/// infinite result leaves them as lower bounds of any later pass.
 [[nodiscard]] Duration solve_ieer_bound(const IeerEquation& eq, const HpView& hp,
-                                        IeertWarmEntry* warm);
+                                        FixpointSeeds* seeds);
 
 }  // namespace e2e

@@ -32,6 +32,26 @@ SaDsSweeps sweep_sa_ds_to_fixpoint(const TaskSystem& system,
   return run;
 }
 
+SaDsSweeps sweep_sa_ds_from_init(const TaskSystem& system,
+                                 const InterferenceMap& interference, SubtaskTable& table,
+                                 const IeertOptions& ieert, int max_passes,
+                                 IeertIncrementalState& state, IeertSweepUndo* undo) {
+  for (const Task& t : system.tasks()) {
+    for_each_optimistic_init(t, [&](const Subtask& s, Duration r0) {
+      const std::size_t flat = interference.flat_index(s.ref);
+      if (undo != nullptr) undo->record(s.ref, flat, table.at(s.ref), state.seeds[flat]);
+      table.set(s.ref, r0);
+      state.seeds[flat].clear();
+    });
+  }
+  // With no dirty flags the first sweep recomputes every entry; later
+  // ones skip entries whose inputs did not change (see ieert.h).
+  state.changed.clear();
+  state.force.clear();
+  return sweep_sa_ds_to_fixpoint(system, interference, table, ieert, max_passes, state,
+                                 undo);
+}
+
 SaDsResult analyze_sa_ds(const TaskSystem& system, const SaDsOptions& options) {
   return analyze_sa_ds(system, InterferenceMap{system}, options);
 }
@@ -40,26 +60,14 @@ SaDsResult analyze_sa_ds(const TaskSystem& system, const InterferenceMap& interf
                          const SaDsOptions& options) {
   SaDsResult result;
 
-  // Initialization (Figure 11 step 1): R_{i,j} = sum of own and
-  // predecessors' execution times -- an optimistic lower estimate.
+  // Figure 11 steps 1-2: the optimistic init, iterated until
+  // R == IEERT(T, R).
   SubtaskTable current{system, 0};
-  for (const Task& t : system.tasks()) {
-    Duration cumulative = 0;
-    for (const Subtask& s : t.subtasks) {
-      cumulative += s.execution_time;
-      current.set(s.ref, cumulative);
-    }
-  }
-
-  // Iterate (Figure 11 step 2) until R == IEERT(T, R). The first sweep
-  // recomputes every entry; later ones skip entries whose inputs did not
-  // change (see ieert.h).
   IeertIncrementalState state;
-  state.warm.resize(interference.subtask_count());
+  state.seeds.resize(interference.subtask_count());
   const SaDsSweeps run =
-      sweep_sa_ds_to_fixpoint(system, interference, current,
-                              sa_ds_ieert_options(system, options), options.max_passes,
-                              state);
+      sweep_sa_ds_from_init(system, interference, current,
+                            sa_ds_ieert_options(system, options), options.max_passes, state);
   result.passes = run.passes;
   result.converged = run.converged;
 

@@ -12,7 +12,8 @@
 // The iteration itself is sweep_sa_ds_to_fixpoint: repeated in-place
 // ieert_sweep()s (see ieert.h) until a sweep changes nothing. The offline
 // analysis and the online admission engine (src/admission/engine_ds.cpp)
-// both run it, under the options sa_ds_ieert_options derives.
+// both run it, under the options sa_ds_ieert_options derives, and both
+// start a cold run through sweep_sa_ds_from_init.
 #pragma once
 
 #include "core/analysis/bounds.h"
@@ -61,6 +62,19 @@ struct SaDsResult {
                                        const InterferenceMap& interference,
                                        const SaDsOptions& options = {});
 
+/// Figure 11 step 1, the optimistic initial estimate: calls
+/// `visit(subtask, r0)` for each subtask of `task` in chain order, with
+/// r0 = R_{i,j} = the sum of its own and its predecessors' execution
+/// times -- an under-approximation of every IEER bound.
+template <typename Visit>
+void for_each_optimistic_init(const Task& task, Visit&& visit) {
+  Duration cumulative = 0;
+  for (const Subtask& s : task.subtasks) {
+    cumulative += s.execution_time;
+    visit(s, cumulative);
+  }
+}
+
 /// The IEERT options every SA/DS sweep of `system` runs under: the
 /// per-task failure cutoff (options.failure_period_multiplier x period)
 /// applied inside each pass, and a fixpoint divergence cap of twice the
@@ -85,5 +99,19 @@ struct SaDsSweeps {
                                                  const IeertOptions& ieert, int max_passes,
                                                  IeertIncrementalState& state,
                                                  IeertSweepUndo* undo = nullptr);
+
+/// Figure 11 steps 1-2 over `table` in place: every entry back to the
+/// optimistic init, every seed emptied and no dirty flags, then
+/// sweep_sa_ds_to_fixpoint. analyze_sa_ds runs this over a fresh table
+/// and the admission engine over its persistent one, so the two agree
+/// byte for byte even where the pass budget runs out. `table` and
+/// `state.seeds` must be shaped like `system`. With `undo`, every entry
+/// is journaled before its first write.
+[[nodiscard]] SaDsSweeps sweep_sa_ds_from_init(const TaskSystem& system,
+                                               const InterferenceMap& interference,
+                                               SubtaskTable& table,
+                                               const IeertOptions& ieert, int max_passes,
+                                               IeertIncrementalState& state,
+                                               IeertSweepUndo* undo = nullptr);
 
 }  // namespace e2e

@@ -23,7 +23,6 @@
 
 #include "core/analysis/bounds.h"
 #include "core/analysis/interference.h"
-#include "core/analysis/scratch.h"
 #include "task/system.h"
 
 namespace e2e {
@@ -42,14 +41,9 @@ struct SaPmOptions {
                                            const SaPmOptions& options = {});
 
 /// As above, reusing a prebuilt interference map (the experiment sweeps
-/// analyze the same system under several algorithms). When `scratch` is
-/// non-null the run records its converged fixpoints there and copies the
-/// previous run's bound, without iterating, for every subtask whose
-/// demand equation is bit-identical (see core/analysis/scratch.h).
-/// Results are bit-identical with or without a scratch.
+/// analyze the same system under several algorithms).
 [[nodiscard]] AnalysisResult analyze_sa_pm(const TaskSystem& system,
                                            const InterferenceMap& interference,
-                                           const SaPmOptions& options = {},
-                                           AnalysisScratch* scratch = nullptr);
+                                           const SaPmOptions& options = {});
 
 }  // namespace e2e

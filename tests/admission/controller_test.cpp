@@ -306,6 +306,57 @@ TEST(Controller, DivergenceCapFollowsTheLongestLivePeriod) {
   }
 }
 
+// The SA/DS and holistic form of the test above. Their divergence cap is
+// 2 x 300 x the longest live period, so a candidate with a longer period
+// runs a cold trial: the whole table re-initialised and re-swept under
+// the journal. C (period 1000, exec 5, top priority) pushes the resident
+// A's bound from 2 to 7 and misses its own deadline of 4; the rejection
+// must restore A's entry and the structures bit for bit, matching the
+// full-recompute engine. Its twin with a deadline of 1000 then commits.
+TEST(Controller, DivergenceCapTrialRollsBackUnderDsAndHolistic) {
+  for (const Policy policy : {Policy::kDs, Policy::kHolistic}) {
+    ControllerOptions options = pm_options();
+    options.policy = policy;
+    options.full_recompute = true;
+    AdmissionController full{options};
+    options.full_recompute = false;
+    AdmissionController incremental{options};
+    const auto both = [&](const TaskSpec& spec) {
+      const Outcome a = full.admit(spec);
+      const Outcome b = incremental.admit(spec);
+      EXPECT_EQ(a.reason, b.reason) << to_string(policy) << " " << spec.name;
+      EXPECT_EQ(full.result_hash(), incremental.result_hash())
+          << to_string(policy) << " " << spec.name;
+      return b;
+    };
+    ASSERT_TRUE(both(make_spec("A", 10, {{0, 2, 1}})).accepted);
+    ASSERT_TRUE(both(make_spec("B", 20, {{1, 3, 0}, {0, 1, 2}})).accepted);
+    const auto before = incremental.structure_digest();
+    ASSERT_TRUE(before.has_value());
+
+    const Outcome rejected = both(make_spec("C", 1000, {{0, 5, 0}}, 4));
+    EXPECT_EQ(rejected.reason, ReasonCode::kBoundFailure) << to_string(policy);
+    EXPECT_EQ(rejected.culprit_task, "C") << to_string(policy);
+    const auto after = incremental.structure_digest();
+    ASSERT_TRUE(after.has_value());
+    EXPECT_EQ(after->interference_hash, before->interference_hash) << to_string(policy);
+    EXPECT_EQ(after->table_hash, before->table_hash) << to_string(policy);
+    EXPECT_EQ(full.query().margin, incremental.query().margin) << to_string(policy);
+
+    const Outcome accepted = both(make_spec("C", 1000, {{0, 5, 0}}, 1000));
+    EXPECT_TRUE(accepted.accepted) << to_string(policy);
+    EXPECT_NE(incremental.structure_digest()->table_hash, before->table_hash)
+        << to_string(policy);
+    EXPECT_EQ(full.query().margin, incremental.query().margin) << to_string(policy);
+    // Removing C shrinks the cap back: a cold remove, still in lockstep.
+    EXPECT_TRUE(full.remove("C").accepted);
+    EXPECT_TRUE(incremental.remove("C").accepted);
+    EXPECT_EQ(full.result_hash(), incremental.result_hash()) << to_string(policy);
+    EXPECT_EQ(incremental.structure_digest()->table_hash, before->table_hash)
+        << to_string(policy);
+  }
+}
+
 // The same handcrafted stream produces the same verdicts and the same
 // running result hash under every (policy, engine) pairing -- a quick
 // deterministic instance of the identity the property test randomizes.

@@ -1,7 +1,7 @@
 // Property tests for the analysis fast path: across 200 generated
 // systems (N cycling 2..6, U cycling 50..80%), the inlined
-// structure-of-arrays demand kernels, signature-exact scratch reuse and
-// incremental in-place IEERT sweeps must produce AnalysisResults
+// structure-of-arrays demand kernels and incremental in-place IEERT
+// sweeps must produce AnalysisResults
 // identical -- exact Time equality, bound for bound -- to the
 // plain-formulation reference analyses
 // (tests/support/reference_analysis).
@@ -57,18 +57,12 @@ void expect_identical(const TaskSystem& system, const AnalysisResult& want,
   }
 }
 
-TEST(DemandKernel, SaPmInlinedAndSignatureReuseMatchReference) {
+TEST(DemandKernel, SaPmInlinedMatchesReference) {
   for (int i = 0; i < kSystems; ++i) {
     const TaskSystem system = system_for(i);
-    const InterferenceMap interference{system};
     const AnalysisResult reference = reference_sa_pm(system);
-    AnalysisScratch scratch;
-    const AnalysisResult fast = analyze_sa_pm(system, interference, {}, &scratch);
+    const AnalysisResult fast = analyze_sa_pm(system, InterferenceMap{system}, {});
     expect_identical(system, reference, fast, "inlined kernel", i);
-    // Re-analyzing the unchanged system hits the signature-exact reuse
-    // path: every bound is copied from the scratch, never re-solved.
-    const AnalysisResult reused = analyze_sa_pm(system, interference, {}, &scratch);
-    expect_identical(system, reference, reused, "signature reuse", i);
   }
 }
 
@@ -99,10 +93,10 @@ TEST(DemandKernel, SolveFixpointEvaluatesSeedOnce) {
   EXPECT_EQ(calls, 2);
 }
 
-// solve_response_bound writes its fixpoints over the caller's scratch in
-// place. Whatever a reused scratch held before -- more instances, fewer,
-// or an unbounded verdict -- the result must equal a solve into a fresh
-// scratch: bound, busy period and every completion fixpoint.
+// solve_response_bound writes its fixpoints over the caller's seeds in
+// place. Cleared seeds (capacity kept), seeds from a dominated equation
+// and seeds an unbounded solve left must all give the result of a solve
+// into fresh seeds: bound, busy period and every completion fixpoint.
 struct KernelCase {
   std::vector<Duration> periods;
   std::vector<Duration> execs;
@@ -115,21 +109,23 @@ struct KernelCase {
   }
 };
 
-void expect_same_scratch(const SubtaskScratch& want, const SubtaskScratch& got,
-                         const char* what) {
-  EXPECT_EQ(want.has, got.has) << what;
-  EXPECT_EQ(want.bound, got.bound) << what;
-  EXPECT_EQ(want.busy, got.busy) << what;
-  EXPECT_EQ(want.completions, got.completions) << what;
+struct Solved {
+  Duration bound = 0;
+  FixpointSeeds seeds;
+};
+
+Solved solve_fresh(const KernelCase& c) {
+  Solved solved;
+  solved.bound = solve_response_bound(c.eq, c.hp(), &solved.seeds);
+  return solved;
 }
 
-SubtaskScratch solve_fresh(const KernelCase& c) {
-  SubtaskScratch sc;
-  (void)solve_response_bound(c.eq, c.hp(), &sc, false);
-  return sc;
+void expect_same_seeds(const Solved& want, const FixpointSeeds& got, const char* what) {
+  EXPECT_EQ(want.seeds.busy, got.busy) << what;
+  EXPECT_EQ(want.seeds.completions, got.completions) << what;
 }
 
-TEST(DemandKernel, ResponseBoundIntoReusedScratchMatchesFresh) {
+TEST(DemandKernel, ResponseBoundIntoReusedSeedsMatchesFresh) {
   constexpr Time kCap = 1800;
   // Victim p=6 e=3 under growing interference (each case dominates the
   // previous one pointwise, same cap): 1, 3 and 10 instances in the busy
@@ -139,51 +135,43 @@ TEST(DemandKernel, ResponseBoundIntoReusedScratchMatchesFresh) {
   const KernelCase medium{{5, 20}, {2, 1}, victim};
   const KernelCase heavy{{5, 20}, {2, 2}, victim};
   const KernelCase diverging{{5, 20}, {2, 3}, victim};
-  const SubtaskScratch fresh_light = solve_fresh(light);
-  const SubtaskScratch fresh_medium = solve_fresh(medium);
-  const SubtaskScratch fresh_heavy = solve_fresh(heavy);
-  ASSERT_LT(fresh_light.completions.size(), fresh_medium.completions.size());
-  ASSERT_LT(fresh_medium.completions.size(), fresh_heavy.completions.size());
+  const Solved fresh_light = solve_fresh(light);
+  const Solved fresh_medium = solve_fresh(medium);
+  const Solved fresh_heavy = solve_fresh(heavy);
+  ASSERT_LT(fresh_light.seeds.completions.size(), fresh_medium.seeds.completions.size());
+  ASSERT_LT(fresh_medium.seeds.completions.size(), fresh_heavy.seeds.completions.size());
   ASSERT_TRUE(is_infinite(solve_fresh(diverging).bound));
 
-  // Cold over a previous run with more instances, then with fewer.
-  SubtaskScratch reused = fresh_heavy;
-  EXPECT_EQ(solve_response_bound(light.eq, light.hp(), &reused, false),
-            fresh_light.bound);
-  expect_same_scratch(fresh_light, reused, "cold over more instances");
-  EXPECT_EQ(solve_response_bound(medium.eq, medium.hp(), &reused, false),
-            fresh_medium.bound);
-  expect_same_scratch(fresh_medium, reused, "cold over fewer instances");
+  // Cold into cleared seeds that held more instances.
+  FixpointSeeds reused = fresh_heavy.seeds;
+  reused.clear();
+  EXPECT_EQ(solve_response_bound(light.eq, light.hp(), &reused), fresh_light.bound);
+  expect_same_seeds(fresh_light, reused, "cold into cleared seeds");
 
-  // Warm (monotone growth) over fewer instances and over the same count.
-  reused = fresh_light;
-  EXPECT_EQ(solve_response_bound(heavy.eq, heavy.hp(), &reused, true),
-            fresh_heavy.bound);
-  expect_same_scratch(fresh_heavy, reused, "warm over fewer instances");
-  EXPECT_EQ(solve_response_bound(heavy.eq, heavy.hp(), &reused, true),
-            fresh_heavy.bound);
-  expect_same_scratch(fresh_heavy, reused, "warm over the same instances");
+  // Seeded (monotone growth) over fewer instances and over the same count.
+  EXPECT_EQ(solve_response_bound(medium.eq, medium.hp(), &reused), fresh_medium.bound);
+  expect_same_seeds(fresh_medium, reused, "seeded over fewer instances");
+  EXPECT_EQ(solve_response_bound(heavy.eq, heavy.hp(), &reused), fresh_heavy.bound);
+  expect_same_seeds(fresh_heavy, reused, "seeded over fewer instances again");
+  EXPECT_EQ(solve_response_bound(heavy.eq, heavy.hp(), &reused), fresh_heavy.bound);
+  expect_same_seeds(fresh_heavy, reused, "seeded over the same instances");
 
-  // An unbounded result leaves no completions; a cold solve into that
-  // scratch is a fresh one. A warm solve over it has no seeds and solves
-  // cold, so it still finds the divergence.
-  reused = fresh_heavy;
-  EXPECT_TRUE(is_infinite(
-      solve_response_bound(diverging.eq, diverging.hp(), &reused, true)));
-  expect_same_scratch(solve_fresh(diverging), reused, "unbounded over heavy");
+  // An unbounded result leaves empty seeds, so the next solve runs cold
+  // and still finds the divergence, and a bounded one after it is fresh.
+  EXPECT_TRUE(is_infinite(solve_response_bound(diverging.eq, diverging.hp(), &reused)));
+  expect_same_seeds(solve_fresh(diverging), reused, "unbounded over heavy");
+  EXPECT_EQ(reused.busy, 0);
   EXPECT_TRUE(reused.completions.empty());
-  EXPECT_TRUE(is_infinite(
-      solve_response_bound(diverging.eq, diverging.hp(), &reused, true)));
-  EXPECT_EQ(solve_response_bound(medium.eq, medium.hp(), &reused, false),
-            fresh_medium.bound);
-  expect_same_scratch(fresh_medium, reused, "cold after unbounded");
+  EXPECT_TRUE(is_infinite(solve_response_bound(diverging.eq, diverging.hp(), &reused)));
+  EXPECT_EQ(solve_response_bound(medium.eq, medium.hp(), &reused), fresh_medium.bound);
+  expect_same_seeds(fresh_medium, reused, "cold after unbounded");
 }
 
 // solve_response_bound solves C(1) first and, when C(1) + J <= p, takes
 // it as the busy period with one instance. Differential check against the
 // textbook two-fixpoint order (busy period, instance count, C(1..M)):
 // random equations plus the boundaries C(1) + J = p and = p + 1, J >= p,
-// blocking, caps that cut C(1), warm seeds from a dominated equation, and
+// blocking, caps that cut C(1), seeds from a dominated equation, and
 // the interference set split into two runs at every position. Bound, busy
 // period and every completion fixpoint must be equal.
 struct RandomEquation {
@@ -232,15 +220,13 @@ struct Columns {
   }
 };
 
-void expect_matches_reference(const RandomEquation& r, const SubtaskScratch& sc,
+void expect_matches_reference(const RandomEquation& r, const FixpointSeeds& seeds,
                               Duration bound, const char* what, int i) {
   const ReferenceResponse want = reference_response_bound(
       r.eq.period, r.eq.exec, r.eq.jitter, r.eq.blocking, r.eq.cap, r.hp);
   ASSERT_EQ(bound, want.bound) << what << ", equation " << i;
-  ASSERT_TRUE(sc.has) << what << ", equation " << i;
-  ASSERT_EQ(sc.bound, want.bound) << what << ", equation " << i;
-  ASSERT_EQ(sc.busy, want.busy) << what << ", equation " << i;
-  ASSERT_EQ(sc.completions, want.completions) << what << ", equation " << i;
+  ASSERT_EQ(seeds.busy, want.busy) << what << ", equation " << i;
+  ASSERT_EQ(seeds.completions, want.completions) << what << ", equation " << i;
 }
 
 TEST(DemandKernel, ResponseBoundMatchesTwoFixpointReference) {
@@ -250,7 +236,7 @@ TEST(DemandKernel, ResponseBoundMatchesTwoFixpointReference) {
   int unbounded = 0;
   int boundary_equal = 0;
   int boundary_over = 0;
-  int warm = 0;
+  int seeded_solves = 0;
   for (int i = 0; i < 6000; ++i) {
     RandomEquation r = random_equation(rng);
     const Time c1 = first_completion(r);
@@ -286,21 +272,23 @@ TEST(DemandKernel, ResponseBoundMatchesTwoFixpointReference) {
       ++several;
     }
 
-    // Cold, into a fresh scratch and over one left by another equation,
-    // with the set split into two runs at every position.
-    SubtaskScratch reused;
-    (void)solve_response_bound(random_equation(rng).eq, columns.run(0, n), &reused,
-                               false);
+    // Cold, into fresh seeds and into cleared ones another equation left,
+    // then seeded by its own fixpoints, with the set split into two runs
+    // at every position.
+    FixpointSeeds reused;
+    (void)solve_response_bound(random_equation(rng).eq, columns.run(0, n), &reused);
     for (std::size_t cut = 0; cut <= n; ++cut) {
       const HpRuns hp{columns.run(0, cut), columns.run(cut, n)};
-      SubtaskScratch fresh;
-      expect_matches_reference(r, fresh, solve_response_bound(r.eq, hp, &fresh, false),
-                               "cold", i);
-      expect_matches_reference(r, reused,
-                               solve_response_bound(r.eq, hp, &reused, false),
-                               "cold over a used scratch", i);
+      FixpointSeeds fresh;
+      expect_matches_reference(r, fresh, solve_response_bound(r.eq, hp, &fresh), "cold",
+                               i);
+      reused.clear();
+      expect_matches_reference(r, reused, solve_response_bound(r.eq, hp, &reused),
+                               "cold into cleared seeds", i);
+      expect_matches_reference(r, reused, solve_response_bound(r.eq, hp, &reused),
+                               "seeded by its own fixpoints", i);
     }
-    EXPECT_EQ(solve_response_bound(r.eq, columns.run(0, n), nullptr, false), want.bound);
+    EXPECT_EQ(solve_response_bound(r.eq, columns.run(0, n), nullptr), want.bound);
 
     // Warm from a dominated equation: smaller execution times and
     // jitters, less blocking, the same cap.
@@ -310,12 +298,13 @@ TEST(DemandKernel, ResponseBoundMatchesTwoFixpointReference) {
     weaker.eq.blocking = rng.uniform_int(0, r.eq.blocking);
     for (ReferenceInterferer& k : weaker.hp) k.exec = rng.uniform_int(1, k.exec);
     const Columns weaker_columns{weaker.hp};
-    SubtaskScratch seeded;
-    (void)solve_response_bound(weaker.eq, weaker_columns.run(0, n), &seeded, false);
-    if (!is_infinite(seeded.bound)) ++warm;
+    FixpointSeeds seeded;
+    if (!is_infinite(solve_response_bound(weaker.eq, weaker_columns.run(0, n), &seeded))) {
+      ++seeded_solves;
+    }
     const HpRuns hp{columns.run(0, n / 2), columns.run(n / 2, n)};
-    expect_matches_reference(r, seeded, solve_response_bound(r.eq, hp, &seeded, true),
-                             "warm", i);
+    expect_matches_reference(r, seeded, solve_response_bound(r.eq, hp, &seeded),
+                             "seeded", i);
   }
   // Every path was taken, many times.
   EXPECT_GT(one_instance, 500);
@@ -323,7 +312,7 @@ TEST(DemandKernel, ResponseBoundMatchesTwoFixpointReference) {
   EXPECT_GT(unbounded, 500);
   EXPECT_GT(boundary_equal, 500);
   EXPECT_GT(boundary_over, 500);
-  EXPECT_GT(warm, 3000);
+  EXPECT_GT(seeded_solves, 3000);
 }
 
 // ceil_div must not compute a + b - 1, which wraps for a numerator near

@@ -34,7 +34,7 @@ SubtaskTable example2_init(const TaskSystem& sys) {
 SubtaskTable production_sweep(const TaskSystem& sys, const InterferenceMap& interference,
                               SubtaskTable table, const IeertOptions& options) {
   IeertIncrementalState state;
-  state.warm.resize(interference.subtask_count());
+  state.seeds.resize(interference.subtask_count());
   (void)ieert_sweep(sys, interference, table, options, state);
   return table;
 }
@@ -80,7 +80,7 @@ TEST(IeertPass, SecondPassReachesTheFixpoint) {
   // SA/DS's sweep loop: one changing sweep, one confirming sweep.
   SubtaskTable table = example2_init(sys);
   IeertIncrementalState state;
-  state.warm.resize(interference.subtask_count());
+  state.seeds.resize(interference.subtask_count());
   const SaDsSweeps run =
       sweep_sa_ds_to_fixpoint(sys, interference, table, {.cap = 100000}, 10, state);
   EXPECT_TRUE(run.converged);
@@ -103,7 +103,7 @@ TEST(IeertPass, InfiniteInputPropagatesToDependents) {
   // Production: an incremental sweep that recomputes only T2,2 and T3
   // (forced) reads the infinite T2,1 and propagates it the same way.
   IeertIncrementalState state;
-  state.warm.resize(interference.subtask_count());
+  state.seeds.resize(interference.subtask_count());
   const std::size_t count = interference.subtask_count();
   state.changed.assign(count, 0);
   state.force.assign(count, 0);

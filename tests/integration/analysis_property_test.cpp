@@ -111,7 +111,7 @@ TEST_P(AnalysisProperty, SweepOnConvergedTableIsOneReferencePass) {
   const IeertOptions options = sa_ds_ieert_options(sys, {});
   SubtaskTable table = ds.analysis.subtask_bounds;
   IeertIncrementalState state;
-  state.warm.resize(interference.subtask_count());
+  state.seeds.resize(interference.subtask_count());
   const SaDsSweeps run = sweep_sa_ds_to_fixpoint(sys, interference, table, options, 1, state);
   EXPECT_TRUE(run.converged);
   EXPECT_EQ(run.passes, 1);
@@ -140,7 +140,7 @@ TEST_P(AnalysisProperty, IeertOperatorIsMonotone) {
   // The production in-place sweep is monotone as well.
   for (SubtaskTable* table : {&low, &high}) {
     IeertIncrementalState state;
-    state.warm.resize(interference.subtask_count());
+    state.seeds.resize(interference.subtask_count());
     (void)ieert_sweep(sys, interference, *table, {.cap = cap}, state);
   }
   for (const Task& t : sys.tasks()) {

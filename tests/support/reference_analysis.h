@@ -1,7 +1,7 @@
 // Plain-formulation schedulability analyses, used only by the tests as
 // an independent oracle for the production SA/PM and SA/DS (inlined
-// structure-of-arrays demand kernels, signature reuse, warm starts,
-// incremental in-place IEERT sweeps).
+// structure-of-arrays demand kernels, fixpoint seeds, incremental
+// in-place IEERT sweeps).
 //
 // Everything here is written the direct way and shares no solver code
 // with src/core/analysis: interference sets and blocking terms are
